@@ -8,10 +8,11 @@ downconv soliton validate.
 
 Configs are flat INI key-value files with one section per command (plus an
 optional [run] section carrying ``command`` and ``seed``); unknown sections
-or keys are hard errors. Outputs are CSV tables (byte-identical for an
-identical config and package version, with the config hash embedded in a
-comment header) plus a small JSON metadata file that carries the config
-echo, version, and wall time.
+or keys are hard errors. ``TABLE`` holds each command's parameter defaults,
+range rule and runner; the rule is checked before any work runs. Outputs are
+CSV tables (byte-identical for an identical config and package version, with
+the config hash embedded in a comment header) plus a small JSON metadata file
+that carries the config echo, version, and wall time.
 
 Exit codes: 0 success, 1 usage error, 2 config/validation error,
 3 numeric failure.
@@ -26,9 +27,11 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.constants import epsilon_0
 
 from . import __version__
 from . import closed_form as cf
@@ -40,9 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-COMMANDS = ("squeeze", "entangle", "kerr", "oscillator", "nphoton", "medium",
-            "dispersion", "downconv", "soliton", "validate")
 
 
 class ConfigError(ValueError):
@@ -96,9 +96,7 @@ class ScenarioResult:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     return repr(float(x))
 
@@ -128,82 +126,6 @@ def write_outputs(result: ScenarioResult, out_dir: str):
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-# ---------------------------------------------------------------------------
-# configuration schemas: name -> (parser, default)
-
-
-SCHEMAS = {
-    "squeeze": {
-        "n_pump": (float, 1e4),
-        "u_min": (float, 0.0),
-        "u_max": (float, 3.0),
-        "points": (int, 61),
-    },
-    "entangle": {
-        "points": (int, 181),
-    },
-    "kerr": {
-        "alpha": (float, 2.0),
-        "omega": (float, 0.0),
-        "kappa": (float, 1.0),
-        "kt_max": (float, 2.0 * np.pi),
-        "points": (int, 101),
-        "bs_phi": (float, 0.25),
-    },
-    "oscillator": {
-        "kappa": (float, 0.25),
-        "gamma_a": (float, 1.0),
-        "gamma_b": (float, 2.0),
-        "ratio_min": (float, 0.02),
-        "ratio_max": (float, 0.999),
-        "points": (int, 50),
-    },
-    "nphoton": {
-        "n": (int, 3),
-        "kappa_n": (float, 0.15),
-        "pump_alpha": (float, 1.0),
-        "signal_dim": (int, 18),
-        "pump_dim": (int, 14),
-        "t_max": (float, 3.0),
-        "points": (int, 16),
-        "husimi_radius": (float, 3.5),
-        "husimi_points": (int, 41),
-    },
-    "medium": {
-        "delta": (float, 1.0),
-        "g": (float, 1.0),
-        "n_density": (float, 1.0),
-        "e0_min": (float, 0.0),
-        "e0_max": (float, 0.05),
-        "points": (int, 51),
-    },
-    "dispersion": {
-        "beta_nu_rel": (float, 1.0 / 2.25),
-        "beta_prime_s": (float, 2e-27),
-        "beta_dblprime_s2": (float, 1e-43),
-        "k_min": (float, 1e6),
-        "k_max": (float, 2e7),
-        "points": (int, 100),
-    },
-    "downconv": {
-        "k0": (float, 3.0),
-        "dz_max": (float, 40.0),
-        "points": (int, 161),
-    },
-    "soliton": {
-        "n0": (int, 25),
-        "omega1_dblprime": (float, 2.0),
-        "g3": (float, -0.05),
-        "grid_widths": (float, 24.0),
-        "grid_points": (int, 1024),
-        "periods": (float, 1.0),
-        "steps": (int, 0),  # 0 -> use the dx^2/(pi w'') guidance
-        "snapshots": (int, 5),
-    },
-    "validate": {},
-}
-
-
 def parse_config_file(path: str, command: str | None):
     """Read an INI config; returns (command, raw dict, seed). Unknown
     sections or keys raise ConfigError (anti-typo contract)."""
@@ -231,7 +153,7 @@ def parse_config_file(path: str, command: str | None):
         sections.discard("run")
     if cfg_command is None:
         raise ConfigError("no command given (CLI argument or [run] section)")
-    if cfg_command not in SCHEMAS:
+    if cfg_command not in TABLE:
         raise ConfigError(f"unknown command {cfg_command!r}")
     unknown_sections = sections - {cfg_command}
     if unknown_sections:
@@ -241,69 +163,67 @@ def parse_config_file(path: str, command: str | None):
 
 
 def build_config(command: str, raw: dict, seed: int, threads: int, fast: bool) -> ScenarioConfig:
-    schema = SCHEMAS[command]
-    unknown = set(raw) - set(schema)
+    entry = TABLE[command]
+    unknown = set(raw) - set(entry.defaults)
     if unknown:
         raise ConfigError(f"unknown keys for {command!r}: {sorted(unknown)}")
-    params = {}
-    for key, (cast, default) in schema.items():
-        if key in raw:
-            try:
-                params[key] = cast(float(raw[key])) if cast is int else cast(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw[key]!r} ({exc})")
-        else:
-            params[key] = default
+    params = dict(entry.defaults)
+    for key, text in raw.items():
+        cast = type(params[key])
+        try:
+            params[key] = cast(float(text)) if cast is int else cast(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})")
+    if not entry.rule(params):
+        raise ConfigError(entry.message)
     return ScenarioConfig(command, params, seed=seed, threads=threads, fast=fast)
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: a runner takes the validated parameters and
+# returns (tables, summary)
 
 
-def run_squeeze(cfg: ScenarioConfig) -> ScenarioResult:
-    p = cfg.params
-    if p["n_pump"] <= 0 or p["points"] < 2 or p["u_max"] <= p["u_min"]:
-        raise ConfigError("squeeze needs n_pump > 0, points >= 2, u_max > u_min")
-    us = np.linspace(p["u_min"], p["u_max"], p["points"])
-    var1, var2, averaged, corrected = [], [], [], []
-    for u in us:
-        v1, v2 = cf.para_variances(u, 0.0)
-        var1.append(v1)
-        var2.append(v2)
-        averaged.append(cf.phase_averaged_var_x2(u, p["n_pump"]))
-        corrected.append(cf.corrected_var_x2(u, p["n_pump"]))
+def _sweep(name: str, axis: tuple, xs, columns: list, point) -> Table:
+    """Table ``name``: the ``axis`` (name, unit) column holding ``xs``, then
+    one column per (name, unit) in ``columns``, filled from the values
+    ``point(x)`` returns. ``point`` runs once per x."""
+    rows = [point(x) for x in xs]
+    return Table(name, [(*axis, list(xs))] +
+                 [(col, unit, [row[i] for row in rows]) for i, (col, unit) in enumerate(columns)])
+
+
+def run_squeeze(p: dict):
+    table = _sweep(
+        "squeeze", ("u", "dimensionless"), np.linspace(p["u_min"], p["u_max"], p["points"]),
+        [("var_x1", "dimensionless"), ("var_x2", "dimensionless"),
+         ("var_x2_phase_averaged", "dimensionless"), ("var_x2_corrected", "dimensionless")],
+        lambda u: (*cf.para_variances(u, 0.0), cf.phase_averaged_var_x2(u, p["n_pump"]),
+                   cf.corrected_var_x2(u, p["n_pump"])))
     u_star, var_min = cf.max_squeezing(p["n_pump"])
-    table = Table("squeeze", [
-        ("u", "dimensionless", list(us)),
-        ("var_x1", "dimensionless", var1),
-        ("var_x2", "dimensionless", var2),
-        ("var_x2_phase_averaged", "dimensionless", averaged),
-        ("var_x2_corrected", "dimensionless", corrected),
-    ])
     optimum = Table("squeeze_optimum", [
         ("n_pump", "photons", [p["n_pump"]]),
         ("u_star", "dimensionless", [u_star]),
         ("var_min", "dimensionless", [var_min]),
     ])
-    return ScenarioResult(cfg, [table, optimum], {"u_star": u_star, "var_min": var_min,
-                                                  "n_pump": p["n_pump"]})
+    return [table, optimum], {"u_star": u_star, "var_min": var_min, "n_pump": p["n_pump"]}
 
 
-def run_entangle(cfg: ScenarioConfig) -> ScenarioResult:
-    points = cfg.params["points"]
-    if points < 16:
-        raise ConfigError("entangle needs points >= 16")
+def run_entangle(p: dict):
     space = fock.make_space([5, 5])
     i00, i11 = space.flat_index((0, 0)), space.flat_index((1, 1))
-    thetas = np.linspace(0.0, np.pi / 2, points)
-    dsum, eprod = [], []
-    for theta in thetas:
+
+    def state(theta):
         vec = np.zeros(space.total_dim, dtype=complex)
         vec[i00], vec[i11] = np.cos(theta), -np.sin(theta)
-        state = fock.QuantumState(space, "pure", vec)
-        dsum.append(dg.duan_simon_sum(state, 0, 1).value)
-        eprod.append(dg.epr_product(state, 0, 1).value)
+        return fock.QuantumState(space, "pure", vec)
+
+    thetas = np.linspace(0.0, np.pi / 2, p["points"])
+    dsum, eprod = [], []
+    for theta in thetas:
+        s = state(theta)
+        dsum.append(dg.duan_simon_sum(s, 0, 1).value)
+        eprod.append(dg.epr_product(s, 0, 1).value)
     k = int(np.argmin(dsum))
     table = Table("entangle", [
         ("theta", "rad", list(thetas)),
@@ -312,67 +232,50 @@ def run_entangle(cfg: ScenarioConfig) -> ScenarioResult:
         ("duan_simon_sum", "dimensionless", dsum),
         ("epr_product", "dimensionless", eprod),
     ])
-    vec = np.zeros(space.total_dim, dtype=complex)
-    vec[i00], vec[i11] = np.cos(thetas[k]), -np.sin(thetas[k])
-    best = fock.QuantumState(space, "pure", vec)
+    best = state(thetas[k])
     reports = [dg.duan_simon_sum(best, 0, 1).to_json_row(),
                dg.epr_product(best, 0, 1).to_json_row()]
-    return ScenarioResult(cfg, [table], {
+    return [table], {
         "min_duan_sum": dsum[k], "argmin_theta": float(thetas[k]),
         "analytic_min": 4.0 - 2.0 * np.sqrt(2.0), "analytic_theta": np.pi / 8,
-        "criterion_reports": reports})
+        "criterion_reports": reports}
 
 
-def run_kerr(cfg: ScenarioConfig) -> ScenarioResult:
-    p = cfg.params
-    if p["points"] < 2 or p["kt_max"] <= 0:
-        raise ConfigError("kerr needs points >= 2 and kt_max > 0")
-    kts = np.linspace(0.0, p["kt_max"], p["points"])
-    amps = [cf.kerr_mean_amplitude(p["alpha"], p["omega"], p["kappa"], kt / p["kappa"])
-            for kt in kts]
-    table = Table("kerr", [
-        ("kappa_t", "rad", list(kts)),
-        ("re_mean", "dimensionless", [a.real for a in amps]),
-        ("im_mean", "dimensionless", [a.imag for a in amps]),
-        ("abs_mean", "dimensionless", [abs(a) for a in amps]),
-    ])
+def run_kerr(p: dict):
+    def point(kt):
+        a = cf.kerr_mean_amplitude(p["alpha"], p["omega"], p["kappa"], kt / p["kappa"])
+        return a.real, a.imag, abs(a)
+
+    table = _sweep("kerr", ("kappa_t", "rad"), np.linspace(0.0, p["kt_max"], p["points"]),
+                   [("re_mean", "dimensionless"), ("im_mean", "dimensionless"),
+                    ("abs_mean", "dimensionless")], point)
     opt = cf.kerr_bs_optimum(abs(p["alpha"]), p["bs_phi"])
-    return ScenarioResult(cfg, [table], {
-        "bs_optimum_excess": opt.excess, "bs_mean_n": opt.mean_n, "bs_r_opt": opt.r_opt,
-        "bs_phi": p["bs_phi"]})
+    return [table], {"bs_optimum_excess": opt.excess, "bs_mean_n": opt.mean_n,
+                     "bs_r_opt": opt.r_opt, "bs_phi": p["bs_phi"]}
 
 
-def run_oscillator(cfg: ScenarioConfig) -> ScenarioResult:
-    p = cfg.params
-    if not (0.0 < p["ratio_min"] < p["ratio_max"] < 1.0):
-        raise ConfigError("oscillator sweep needs 0 < ratio_min < ratio_max < 1")
-    ratios = np.linspace(p["ratio_min"], p["ratio_max"], p["points"])
+def run_oscillator(p: dict):
     gg = p["gamma_a"] * p["gamma_b"]
-    beta0, slowest, squeezing, n_fluct = [], [], [], []
-    for ratio in ratios:
-        dp = oscillator.DpoParams(p["kappa"], ratio * gg / p["kappa"],
-                                  p["gamma_a"], p["gamma_b"])
+
+    def point(ratio):
+        dp = oscillator.DpoParams(p["kappa"], ratio * gg / p["kappa"], p["gamma_a"], p["gamma_b"])
         below = oscillator.steady_branches(dp)[0]
         evals = oscillator.stability_eigenvalues(dp, below)
-        beta0.append(below.beta0.real)
-        slowest.append(float(evals.real.max()))
-        squeezing.append(oscillator.below_threshold_squeezing(dp))
-        n_fluct.append(oscillator.below_threshold_moments(dp)[0])
-    table = Table("oscillator", [
-        ("threshold_ratio", "dimensionless", list(ratios)),
-        ("alpha0", "dimensionless", [0.0] * len(ratios)),
-        ("beta0", "dimensionless", beta0),
-        ("slowest_eigenvalue", "rad/s", slowest),
-        ("squeezed_variance", "dimensionless", squeezing),
-        ("signal_n_fluct", "dimensionless", n_fluct),
-    ])
-    return ScenarioResult(cfg, [table], {
-        "squeezing_threshold_limit": oscillator.squeezing_threshold_limit(),
-        "gamma_a": p["gamma_a"], "gamma_b": p["gamma_b"], "kappa": p["kappa"]})
+        return (0.0, below.beta0.real, float(evals.real.max()),
+                oscillator.below_threshold_squeezing(dp),
+                oscillator.below_threshold_moments(dp)[0])
+
+    table = _sweep(
+        "oscillator", ("threshold_ratio", "dimensionless"),
+        np.linspace(p["ratio_min"], p["ratio_max"], p["points"]),
+        [("alpha0", "dimensionless"), ("beta0", "dimensionless"),
+         ("slowest_eigenvalue", "rad/s"), ("squeezed_variance", "dimensionless"),
+         ("signal_n_fluct", "dimensionless")], point)
+    return [table], {"squeezing_threshold_limit": oscillator.squeezing_threshold_limit(),
+                     "gamma_a": p["gamma_a"], "gamma_b": p["gamma_b"], "kappa": p["kappa"]}
 
 
-def run_nphoton(cfg: ScenarioConfig) -> ScenarioResult:
-    p = cfg.params
+def run_nphoton(p: dict):
     space = fock.make_space([p["signal_dim"], p["pump_dim"]])
     model = models.h_nphoton(space, 1.0, p["kappa_n"], p["n"])
     psi0 = fock.coherent_state(space, [0.0, p["pump_alpha"]], tail_tol=1e-9)
@@ -394,90 +297,59 @@ def run_nphoton(cfg: ScenarioConfig) -> ScenarioResult:
         ("im_alpha", "dimensionless", list(grid.imag.ravel())),
         ("q", "1/pi", list(q.ravel())),
     ])
-    return ScenarioResult(cfg, [table, husimi], {
-        "n": p["n"], "final_n_signal": float(n_sig[-1]),
-        "max_rotation_dev": float(max(rot_dev))})
+    return [table, husimi], {"n": p["n"], "final_n_signal": float(n_sig[-1]),
+                             "max_rotation_dev": float(max(rot_dev))}
 
 
-def run_medium(cfg: ScenarioConfig) -> ScenarioResult:
-    p = cfg.params
-    if p["e0_max"] <= p["e0_min"] or p["e0_min"] < 0:
-        raise ConfigError("medium sweep needs 0 <= e0_min < e0_max")
-    e0s = np.linspace(p["e0_min"], p["e0_max"], p["points"])
+def run_medium(p: dict):
     ref = media.TwoLevelParams(delta=p["delta"], gE=0.0, n_density=p["n_density"], g=p["g"])
     chi1 = media.chi1_two_level(ref)
     chi3 = media.chi3_two_level(ref)
-    pol, chi_eff = [], []
-    for e0 in e0s:
+
+    def point(e0):
         tl = media.TwoLevelParams(delta=p["delta"], gE=p["g"] * e0,
                                   n_density=p["n_density"], g=p["g"])
-        pol.append(media.two_level_polarization(tl))
-        chi_eff.append(media.effective_chi_kerr(chi1, chi3, e0))
-    table = Table("medium", [
-        ("E0", "V/m", list(e0s)),
-        ("polarization_amp", "C/m^2", pol),
-        ("chi_eff", "dimensionless", chi_eff),
-    ])
-    return ScenarioResult(cfg, [table], {"chi1": chi1, "chi3": chi3, "delta": p["delta"]})
+        return media.two_level_polarization(tl), media.effective_chi_kerr(chi1, chi3, e0)
+
+    table = _sweep("medium", ("E0", "V/m"), np.linspace(p["e0_min"], p["e0_max"], p["points"]),
+                   [("polarization_amp", "C/m^2"), ("chi_eff", "dimensionless")], point)
+    return [table], {"chi1": chi1, "chi3": chi3, "delta": p["delta"]}
 
 
-def run_dispersion(cfg: ScenarioConfig) -> ScenarioResult:
-    from scipy.constants import epsilon_0
-
-    p = cfg.params
+def run_dispersion(p: dict):
     coeffs = media.DispersionCoeffs(
         beta_nu=p["beta_nu_rel"] / epsilon_0,
         beta_nu_prime=p["beta_prime_s"] / epsilon_0,
         beta_nu_dblprime=p["beta_dblprime_s2"] / epsilon_0,
     )
-    ks = np.linspace(p["k_min"], p["k_max"], p["points"])
-    wp, wm, ak, vk = [], [], [], []
-    for k in ks:
-        plus, minus = media.dispersion_omega(k, coeffs)
-        wp.append(plus)
-        wm.append(minus)
-        ak.append(media.mode_norm_Ak(k, coeffs))
-        vk.append(media.group_velocity(k, coeffs))
-    table = Table("dispersion", [
-        ("k", "1/m", list(ks)),
-        ("omega_plus", "rad/s", wp),
-        ("omega_minus", "rad/s", wm),
-        ("A_k", "sqrt(H/m * rad/s)", ak),
-        ("v_k", "m/s", vk),
-    ])
-    return ScenarioResult(cfg, [table], {"points": p["points"]})
+    table = _sweep(
+        "dispersion", ("k", "1/m"), np.linspace(p["k_min"], p["k_max"], p["points"]),
+        [("omega_plus", "rad/s"), ("omega_minus", "rad/s"), ("A_k", "sqrt(H/m * rad/s)"),
+         ("v_k", "m/s")],
+        lambda k: (*media.dispersion_omega(k, coeffs), media.mode_norm_Ak(k, coeffs),
+                   media.group_velocity(k, coeffs)))
+    return [table], {"points": p["points"]}
 
 
-def run_downconv(cfg: ScenarioConfig) -> ScenarioResult:
-    p = cfg.params
-    if p["k0"] <= 0 or p["dz_max"] <= 0:
-        raise ConfigError("downconv needs k0 > 0 and dz_max > 0")
-    dzs = np.linspace(-p["dz_max"], p["dz_max"], p["points"])
-    vals = [cf.downconv_kernel(dz, p["k0"]).value for dz in dzs]
-    quad = [cf.downconv_kernel_quadrature(dz, p["k0"], 2001) for dz in dzs]
-    ms = np.arange(3, 40)
-    envelope_dz = 2.0 * np.pi * ms / p["k0"]
-    envelope = np.array([abs(cf.downconv_kernel(dz, p["k0"]).value) for dz in envelope_dz])
+def run_downconv(p: dict):
+    k0 = p["k0"]
+
+    def point(dz):
+        v = cf.downconv_kernel(dz, k0).value
+        return abs(v), v.real, v.imag, abs(cf.downconv_kernel_quadrature(dz, k0, 2001))
+
+    table = _sweep(
+        "downconv", ("delta_z", "m"), np.linspace(-p["dz_max"], p["dz_max"], p["points"]),
+        [("abs_kernel", "1/m^3"), ("re_kernel", "1/m^3"), ("im_kernel", "1/m^3"),
+         ("abs_kernel_quadrature", "1/m^3")], point)
+    envelope_dz = 2.0 * np.pi * np.arange(3, 40) / k0
+    envelope = np.array([abs(cf.downconv_kernel(dz, k0).value) for dz in envelope_dz])
     exponent = -float(np.polyfit(np.log(envelope_dz), np.log(envelope), 1)[0])
-    table = Table("downconv", [
-        ("delta_z", "m", list(dzs)),
-        ("abs_kernel", "1/m^3", [abs(v) for v in vals]),
-        ("re_kernel", "1/m^3", [v.real for v in vals]),
-        ("im_kernel", "1/m^3", [v.imag for v in vals]),
-        ("abs_kernel_quadrature", "1/m^3", [abs(q) for q in quad]),
-    ])
-    return ScenarioResult(cfg, [table], {
-        "fitted_decay_exponent": exponent,
-        "dz0_value": p["k0"] ** 3 / 6.0, "k0": p["k0"]})
+    return [table], {"fitted_decay_exponent": exponent, "dz0_value": k0 ** 3 / 6.0, "k0": k0}
 
 
-def run_soliton(cfg: ScenarioConfig) -> ScenarioResult:
-    p = cfg.params
-    if p["n0"] < 2 or p["grid_widths"] < 12:
-        raise ConfigError("soliton needs n0 >= 2 and a grid of >= 12 soliton widths")
+def run_soliton(p: dict):
     g3 = p["g3"]
-    if g3 >= 0:
-        raise ConfigError("soliton propagation needs g3 < 0")
     width = soliton.FWHM_FACTOR * p["omega1_dblprime"] / (abs(g3) * (p["n0"] - 1))
     grid = soliton.SpatialGrid(extent=p["grid_widths"] * width, points=p["grid_points"])
     fiber = soliton.FiberParams(p["omega1_dblprime"], g3, 0.0, grid)
@@ -506,11 +378,11 @@ def run_soliton(cfg: ScenarioConfig) -> ScenarioResult:
         ("t", "s", list(mf_times)),
         ("peak_mean_field", "1/sqrt(m)", mf_peaks),
     ])
-    return ScenarioResult(cfg, [profile_table, peak_table, mf_table], {
-        "soliton_period": period, "steps": steps, "norm_sq": profile.norm_sq()})
+    return [profile_table, peak_table, mf_table], {
+        "soliton_period": period, "steps": steps, "norm_sq": profile.norm_sq()}
 
 
-def run_validate(cfg: ScenarioConfig, out_dir: str) -> ScenarioResult:
+def run_validate(cfg: ScenarioConfig, out_dir: str):
     matrix_path = os.path.join(out_dir, "validate_matrix.json")
     if os.path.exists(matrix_path):
         with open(matrix_path) as fh:
@@ -532,52 +404,96 @@ def run_validate(cfg: ScenarioConfig, out_dir: str) -> ScenarioResult:
         "criteria": {
             str(r.criterion): {
                 "name": r.name, "passed": r.passed, "seconds": round(r.seconds, 3),
-                "details": _jsonable(r.details),
+                "details": r.details,
             } for r in results
         },
         "all_passed": all(r.passed for r in results),
     }
     os.makedirs(out_dir, exist_ok=True)
     with open(matrix_path, "w") as fh:
-        json.dump(matrix, fh, indent=2, sort_keys=True)
+        json.dump(matrix, fh, indent=2, sort_keys=True, default=lambda x: x.item())
     summary = {"all_passed": matrix["all_passed"],
                "n_passed": sum(r.passed for r in results), "n_run": len(results)}
-    return ScenarioResult(cfg, [table], summary)
+    return [table], summary
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+# ---------------------------------------------------------------------------
+# the command table
 
 
-RUNNERS = {
-    "squeeze": run_squeeze,
-    "entangle": run_entangle,
-    "kerr": run_kerr,
-    "oscillator": run_oscillator,
-    "nphoton": run_nphoton,
-    "medium": run_medium,
-    "dispersion": run_dispersion,
-    "downconv": run_downconv,
-    "soliton": run_soliton,
+@dataclass(frozen=True)
+class Command:
+    """One command: its parameter defaults (a parameter's type is the type of
+    its default), the range rule that ``build_config`` checks before any work
+    runs (failing it raises ConfigError(``message``)), and its runner, which
+    takes the parameters (validate's: the config and output directory)."""
+
+    defaults: dict
+    rule: Callable[[dict], bool]
+    message: str
+    runner: Callable
+
+
+TABLE = {
+    "squeeze": Command(
+        dict(n_pump=1e4, u_min=0.0, u_max=3.0, points=61),
+        lambda p: p["n_pump"] > 0 and p["points"] >= 2 and p["u_max"] > p["u_min"],
+        "squeeze needs n_pump > 0, points >= 2, u_max > u_min", run_squeeze),
+    "entangle": Command(
+        dict(points=181),
+        lambda p: p["points"] >= 16,
+        "entangle needs points >= 16", run_entangle),
+    "kerr": Command(
+        dict(alpha=2.0, omega=0.0, kappa=1.0, kt_max=2.0 * np.pi, points=101, bs_phi=0.25),
+        lambda p: p["points"] >= 2 and p["kt_max"] > 0 and p["kappa"] != 0,
+        "kerr needs points >= 2, kt_max > 0 and kappa != 0", run_kerr),
+    "oscillator": Command(
+        dict(kappa=0.25, gamma_a=1.0, gamma_b=2.0, ratio_min=0.02, ratio_max=0.999, points=50),
+        lambda p: 0.0 < p["ratio_min"] < p["ratio_max"] < 1.0,
+        "oscillator sweep needs 0 < ratio_min < ratio_max < 1", run_oscillator),
+    "nphoton": Command(
+        dict(n=3, kappa_n=0.15, pump_alpha=1.0, signal_dim=18, pump_dim=14, t_max=3.0,
+             points=16, husimi_radius=3.5, husimi_points=41),
+        lambda p: (p["n"] >= 2 and p["signal_dim"] > p["n"] and p["pump_dim"] >= 2
+                   and p["husimi_points"] >= 2),
+        "nphoton needs n >= 2, signal_dim > n, pump_dim >= 2 and husimi_points >= 2", run_nphoton),
+    "medium": Command(
+        dict(delta=1.0, g=1.0, n_density=1.0, e0_min=0.0, e0_max=0.05, points=51),
+        lambda p: 0 <= p["e0_min"] < p["e0_max"],
+        "medium sweep needs 0 <= e0_min < e0_max", run_medium),
+    "dispersion": Command(
+        dict(beta_nu_rel=1.0 / 2.25, beta_prime_s=2e-27, beta_dblprime_s2=1e-43,
+             k_min=1e6, k_max=2e7, points=100),
+        lambda p: p["beta_nu_rel"] > 0 and p["k_min"] > 0 and p["k_max"] > 0,
+        "dispersion needs beta_nu_rel > 0, k_min > 0 and k_max > 0", run_dispersion),
+    "downconv": Command(
+        dict(k0=3.0, dz_max=40.0, points=161),
+        lambda p: p["k0"] > 0 and p["dz_max"] > 0,
+        "downconv needs k0 > 0 and dz_max > 0", run_downconv),
+    "soliton": Command(
+        # steps = 0 takes the step count from the dx^2/(pi w'') guidance
+        dict(n0=25, omega1_dblprime=2.0, g3=-0.05, grid_widths=24.0, grid_points=1024,
+             periods=1.0, steps=0, snapshots=5),
+        lambda p: p["n0"] >= 2 and p["grid_widths"] >= 12 and p["g3"] < 0,
+        "soliton needs n0 >= 2, g3 < 0 and a grid of >= 12 soliton widths", run_soliton),
+    "validate": Command({}, lambda p: True, "", run_validate),
 }
+
+COMMANDS = tuple(TABLE)
+#: The scenario runners, by command; ``run`` looks them up at call time.
+RUNNERS = {name: c.runner for name, c in TABLE.items() if name != "validate"}
 
 
 def run(cfg: ScenarioConfig, out_dir: str) -> ScenarioResult:
     """Execute a validated scenario and write its outputs."""
     t0 = time.time()
     if cfg.command == "validate":
-        result = run_validate(cfg, out_dir)
+        tables, summary = run_validate(cfg, out_dir)
     else:
-        result = RUNNERS[cfg.command](cfg)
-    result.wall_time = time.time() - t0
+        tables, summary = RUNNERS[cfg.command](cfg.params)
+    result = ScenarioResult(cfg, tables, summary, time.time() - t0)
     write_outputs(result, out_dir)
-    if cfg.command == "validate" and not result.summary.get("all_passed", True):
+    if cfg.command == "validate" and not summary["all_passed"]:
         raise NumericsError("validate: one or more acceptance criteria failed")
     return result
 
@@ -618,15 +534,10 @@ def main(argv=None) -> int:
         else:
             command, raw, seed = args.command, {}, 0
         cfg = build_config(command, raw, seed, threads, args.fast)
+        result = run(cfg, args.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

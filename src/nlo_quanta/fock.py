@@ -141,8 +141,7 @@ class FieldOperator:
         return FieldOperator(self.space, self.matrix.conj().T)
 
     def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.conj().T
-        return float(np.abs(d.toarray() if sp.issparse(d) else d).max()) if d.shape[0] else 0.0
+        return (self - self.dag()).max_abs()
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return self.hermiticity_defect() < tol
@@ -174,8 +173,7 @@ class FieldOperator:
         return self @ other - other @ self
 
     def max_abs(self) -> float:
-        m = self.matrix
-        return float(np.abs(m.toarray() if sp.issparse(m) else m).max())
+        return float(abs(self.matrix).max())
 
 
 def _pack(space: SpaceDescriptor, mat) -> FieldOperator:
@@ -317,10 +315,9 @@ def beam_splitter(space: SpaceDescriptor, transmissivity: float) -> FieldOperato
     totals = space.number_values(0) + space.number_values(1)
     n = space.total_dim
     rows, cols, vals = [], [], []
-    Kd = K.toarray()
     for N in range(int(totals.max()) + 1):
         idx = np.nonzero(totals == N)[0]
-        block = expm(Kd[np.ix_(idx, idx)])
+        block = expm(K[idx][:, idx].toarray())
         rr, cc = np.meshgrid(idx, idx, indexing="ij")
         rows.append(rr.ravel())
         cols.append(cc.ravel())

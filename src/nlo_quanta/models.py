@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, TruncationError
 from .fock import (
+    HERMITICITY_TOL,
     FieldOperator,
     SpaceDescriptor,
     annihilation,
@@ -28,7 +29,6 @@ from .fock import (
 )
 
 CHARGE_COMMUTATOR_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)

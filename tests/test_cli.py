@@ -1,10 +1,14 @@
+import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from nlo_quanta import cli
+
+REFERENCE_DIGESTS = pathlib.Path(__file__).parents[1] / "bench" / "reference_digests.json"
 
 
 def run_cli(args, **kwargs):
@@ -52,11 +56,24 @@ class TestConfigValidation:
         proc = run_cli(["squeeze", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert proc.returncode == cli.EXIT_CONFIG
 
-    def test_bad_parameter_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command, key, value", [
+        ("squeeze", "n_pump", "-5"),
+        ("entangle", "points", "8"),
+        ("kerr", "kt_max", "0"),
+        ("kerr", "kappa", "0"),
+        ("oscillator", "ratio_max", "1.5"),
+        ("nphoton", "husimi_points", "1"),
+        ("medium", "e0_min", "-0.01"),
+        ("dispersion", "k_min", "0"),
+        ("downconv", "k0", "0"),
+        ("soliton", "g3", "0.05"),
+    ])
+    def test_bad_parameter_value_rejected(self, tmp_path, command, key, value):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[squeeze]\nn_pump = -5\n")
-        proc = run_cli(["squeeze", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert proc.returncode == cli.EXIT_CONFIG
+        cfg.write_text(f"[{command}]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_command_from_config_run_section(self, tmp_path):
         cfg = tmp_path / "ok.ini"
@@ -66,6 +83,16 @@ class TestConfigValidation:
 
 
 class TestOutputs:
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "validate"])
+    def test_default_csv_bytes_match_reference(self, tmp_path, command):
+        reference = json.loads(REFERENCE_DIGESTS.read_text())["csv_sha256"]
+        result = cli.run(cli.build_config(command, {}, 0, 1, False), str(tmp_path))
+        assert result.tables
+        for table in result.tables:
+            name = f"{table.name}.csv"
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == reference[name], name
+
     def test_squeeze_outputs(self, tmp_path):
         out = tmp_path / "out"
         proc = run_cli(["squeeze", "--out", str(out)])

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nlo_quanta import fock
+from nlo_quanta import fock, models
 from nlo_quanta.errors import (
     ContractError,
     InvalidSpaceError,
@@ -301,6 +302,38 @@ class TestBeamSplitter:
         with pytest.raises(ContractError):
             fock.beam_splitter(fock.make_space([4]), 0.5)
 
+
+
+class TestSparseOperators:
+    """Sparse operators are checked and exponentiated without a dense copy of
+    the whole space; a dense 1600^2 or 1728^2 complex array is 41-48 MB."""
+
+    BUDGET_BYTES = 10 * 2**20
+
+    @staticmethod
+    def _peak_bytes(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_model_checks_stay_sparse(self):
+        space = fock.make_space([12, 12, 12])
+        peak = self._peak_bytes(lambda: models.h_three_mode_chi2(space, 1.0, 1.3, 0.2))
+        assert peak < self.BUDGET_BYTES
+
+    def test_beam_splitter_stays_sparse(self):
+        space = fock.make_space([40, 40])
+        assert self._peak_bytes(lambda: fock.beam_splitter(space, 0.37)) < self.BUDGET_BYTES
+
+    def test_checks_match_dense(self):
+        op = fock.annihilation(fock.make_space([20, 20]), 1) * (1 + 0.5j)
+        assert op.is_sparse
+        dense = op.dense()
+        assert op.max_abs() == np.abs(dense).max()
+        assert op.hermiticity_defect() == np.abs(dense - dense.conj().T).max()
 
 def _safe_columns(space):
     """Basis columns whose total-photon sector is complete under truncation."""
