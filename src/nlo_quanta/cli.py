@@ -130,26 +130,30 @@ def parse_config_file(path: str, command: str | None):
     """Read an INI config; returns (command, raw dict, seed). Unknown
     sections or keys raise ConfigError (anti-typo contract)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        values = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path!r} is not valid INI: {exc}") from exc
     if not read:
         raise UsageError(f"config file {path!r} is missing or unreadable")
-    sections = set(parser.sections())
+    sections = set(values)
     if not sections and not parser.defaults():
         raise UsageError(f"config file {path!r} is empty")
     seed = 0
     cfg_command = command
     if "run" in sections:
-        run_keys = set(parser["run"])
-        extra = run_keys - {"command", "seed"}
+        run = values["run"]
+        extra = set(run) - {"command", "seed"}
         if extra:
             raise ConfigError(f"unknown keys in [run]: {sorted(extra)}")
-        if "command" in parser["run"]:
-            cfg_command = parser["run"]["command"].strip()
+        if "command" in run:
+            cfg_command = run["command"].strip()
             if command is not None and cfg_command != command:
                 raise ConfigError(
                     f"config command {cfg_command!r} conflicts with CLI command {command!r}")
-        if "seed" in parser["run"]:
-            seed = int(parser["run"]["seed"])
+        if "seed" in run:
+            seed = int(run["seed"])
         sections.discard("run")
     if cfg_command is None:
         raise ConfigError("no command given (CLI argument or [run] section)")
@@ -158,7 +162,7 @@ def parse_config_file(path: str, command: str | None):
     unknown_sections = sections - {cfg_command}
     if unknown_sections:
         raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
-    raw = dict(parser[cfg_command]) if cfg_command in parser else {}
+    raw = values.get(cfg_command, {})
     return cfg_command, raw, seed
 
 
@@ -449,8 +453,10 @@ TABLE = {
         "kerr needs points >= 2, kt_max > 0 and kappa != 0", run_kerr),
     "oscillator": Command(
         dict(kappa=0.25, gamma_a=1.0, gamma_b=2.0, ratio_min=0.02, ratio_max=0.999, points=50),
-        lambda p: 0.0 < p["ratio_min"] < p["ratio_max"] < 1.0,
-        "oscillator sweep needs 0 < ratio_min < ratio_max < 1", run_oscillator),
+        lambda p: (0.0 < p["ratio_min"] < p["ratio_max"] < 1.0
+                   and min(p["kappa"], p["gamma_a"], p["gamma_b"]) > 0),
+        "oscillator sweep needs 0 < ratio_min < ratio_max < 1 and kappa, gamma_a, "
+        "gamma_b > 0", run_oscillator),
     "nphoton": Command(
         dict(n=3, kappa_n=0.15, pump_alpha=1.0, signal_dim=18, pump_dim=14, t_max=3.0,
              points=16, husimi_radius=3.5, husimi_points=41),

@@ -8,9 +8,16 @@ Numerical routes
   error <= 1e-10.
 * Master equation: adaptive DOP853 on the vectorized density matrix. Trace
   renormalization is deliberately off; trace drift is an error signal.
-* Steady states: dense null space for small Liouvillians, ILU-preconditioned
-  GMRES on a trace-constrained system for large ones, with Krylov
-  time-marching as the fallback.
+* Steady states: the Liouvillian is split into the decoupled sectors of its
+  nonzero pattern (``fock.sectors``), e.g. the n_a - m_a parity classes of
+  the parametric oscillator. Exactly one sector may hold populations
+  rho_nn; it carries the steady state. Small Liouvillians take a dense
+  eigendecomposition per sector, counting null eigenvalues over all of
+  them. Large ones solve a trace-constrained system on the population
+  sector with ILU-preconditioned GMRES, and every other sector must pass a
+  preconditioned GMRES solve that shows it nonsingular, so a traceless
+  second null vector is caught too. Krylov time-marching on the full space
+  is the fallback.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .errors import AmbiguityError, ContractError, NumericsError
-from .fock import FieldOperator, QuantumState
+from .fock import FieldOperator, QuantumState, sectors
 from .models import ModelSpec
 
 DENSE_EVOLVE_DIM = 512
@@ -212,59 +219,103 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times,
     return result
 
 
-def _steady_dense(L: np.ndarray, d: int) -> np.ndarray:
-    evals, evecs = np.linalg.eig(L)
-    order = np.argsort(np.abs(evals))
-    null_count = int(np.sum(np.abs(evals) < 1e-9))
-    if null_count > 1:
-        raise AmbiguityError(
-            f"Liouvillian null space is {null_count}-dimensional; steady state ambiguous")
-    v = evecs[:, order[0]]
-    return v.reshape(d, d)
+#: (drop_tol, fill_factor) rungs tried in order for the sector ILUs.
+ILU_LADDER = ((1e-1, 2), (3e-2, 2), (1e-3, 6))
 
 
-def _trace_row_system(L: sp.csr_matrix, d: int, row: int):
-    """Copy of L with one row replaced by the Tr(rho) = 1 functional."""
-    n2 = d * d
-    diag_idx = np.arange(d) * d + np.arange(d)
+def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
+    """GMRES on A x = rhs, preconditioned by the first rung of
+    ``ILU_LADDER`` whose incomplete LU lets it converge.
+
+    Returns the solution and the preconditioner; raises NumericsError when
+    no rung converges.
+    """
+    n = A.shape[0]
+    failure = "no rung tried"
+    for drop_tol, fill in ILU_LADDER:
+        try:
+            ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill,
+                             permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # exactly singular factor
+            failure = str(exc)
+            continue
+        M = spla.LinearOperator((n, n), ilu.solve)
+        x, info = spla.gmres(A, rhs, M=M, rtol=rtol, atol=0.0, restart=100, maxiter=400)
+        if info == 0:
+            return x, M
+        failure = f"GMRES did not converge (info {info}) at drop_tol {drop_tol}"
+    raise NumericsError(f"preconditioned solve failed: {failure}")
+
+
+def _trace_row_system(L: sp.csr_matrix, pops: np.ndarray, row: int):
+    """Copy of L with one row replaced by the trace functional, the sum of
+    the entries at ``pops``, set equal to 1."""
+    n = L.shape[0]
     C = L.tocoo()
     keep = C.row != row
-    rows = np.concatenate([C.row[keep], np.full(d, row, dtype=C.row.dtype)])
-    cols = np.concatenate([C.col[keep], diag_idx])
-    vals = np.concatenate([C.data[keep], np.ones(d, dtype=complex)])
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(n2, n2))
-    rhs = np.zeros(n2, dtype=complex)
+    rows = np.concatenate([C.row[keep], np.full(len(pops), row, dtype=C.row.dtype)])
+    cols = np.concatenate([C.col[keep], pops.astype(C.col.dtype)])
+    vals = np.concatenate([C.data[keep], np.ones(len(pops), dtype=complex)])
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    rhs = np.zeros(n, dtype=complex)
     rhs[row] = 1.0
     return A, rhs
 
 
-def _steady_ilu(L: sp.csr_matrix, d: int):
-    """Trace-constrained solve: replace one row of L by Tr(rho) = 1,
-    precondition with an incomplete LU, and polish with GMRES.
+def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
+    """Trace-constrained solve on the population block of L: replace one
+    row by Tr(rho) = 1, precondition with an incomplete LU, and polish with
+    GMRES.
 
     Returns the solution plus a second solve (same preconditioner,
     constraint placed on a different row) used as a degeneracy probe: for a
     one-dimensional null space both systems share a unique solution.
     """
-    n2 = d * d
-    A, rhs = _trace_row_system(L, d, 0)
-    last_exc = None
-    for drop_tol, fill in ((3e-2, 2), (1e-3, 6)):
-        try:
-            ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill)
-            M = spla.LinearOperator((n2, n2), ilu.solve)
-            x, info = spla.gmres(A, rhs, M=M, rtol=1e-13, atol=0.0,
-                                 restart=100, maxiter=400)
-            if info != 0:
-                continue
-            A2, rhs2 = _trace_row_system(L, d, n2 - 1)
-            x2, info2 = spla.gmres(A2, rhs2, M=M, rtol=1e-11, atol=0.0,
-                                   restart=100, maxiter=400)
-            probe = x2.reshape(d, d) if info2 == 0 else None
-            return x.reshape(d, d), probe
-        except Exception as exc:  # pragma: no cover - escalation path
-            last_exc = exc
-    raise NumericsError(f"preconditioned steady-state solve failed: {last_exc}")
+    Lp = L[population][:, population]
+    pops = np.searchsorted(population, np.arange(d) * (d + 1))
+    A, rhs = _trace_row_system(Lp, pops, 0)
+    x, M = _ilu_gmres(A, rhs, 1e-13)
+    A2, rhs2 = _trace_row_system(Lp, pops, len(population) - 1)
+    x2, info2 = spla.gmres(A2, rhs2, M=M, rtol=1e-11, atol=0.0, restart=100, maxiter=400)
+    probe = _scatter(x2, population, d) if info2 == 0 else None
+    return _scatter(x, population, d), probe
+
+
+def _require_nonsingular(L: sp.csr_matrix, block: np.ndarray, d: int):
+    """Show a block of L without populations to be nonsingular: a
+    preconditioned GMRES solve with a fixed random right-hand side must
+    converge. A singular block holds a traceless null vector of L."""
+    rhs = np.random.default_rng(0).standard_normal(len(block))
+    try:
+        _ilu_gmres(L[block][:, block].tocsc(), rhs, 1e-8)
+    except NumericsError as exc:
+        n, m = divmod(int(block[0]), d)
+        raise AmbiguityError(
+            f"Liouvillian sector of {len(block)} entries from rho[{n}, {m}] looks singular, "
+            f"so the null space is degenerate ({exc})") from exc
+
+
+def _scatter(x: np.ndarray, block: np.ndarray, d: int) -> np.ndarray:
+    """d x d matrix holding the entries x at the flat indices ``block``."""
+    full = np.zeros(d * d, dtype=complex)
+    full[block] = x
+    return full.reshape(d, d)
+
+
+def _steady_dense(L: sp.csr_matrix, blocks: list, population: np.ndarray,
+                  d: int) -> np.ndarray:
+    """Eigendecomposition of every block; the null vector comes from the
+    population block, and null eigenvalues are counted over all blocks."""
+    null_count = 0
+    for block in blocks:
+        evals, evecs = np.linalg.eig(L[block][:, block].toarray())
+        null_count += int(np.sum(np.abs(evals) < 1e-9))
+        if block is population:
+            v = evecs[:, np.argmin(np.abs(evals))]
+    if null_count > 1:
+        raise AmbiguityError(
+            f"Liouvillian null space is {null_count}-dimensional; steady state ambiguous")
+    return _scatter(v, population, d)
 
 
 def _steady_march(L: sp.csr_matrix, d: int, model: ModelSpec) -> np.ndarray:
@@ -290,20 +341,41 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     satisfies ||L(rho)||_F < 1e-10 (Frobenius, trace-normalized); a
     degenerate null space raises AmbiguityError instead of averaging.
     ``method`` may be "auto", "dense", "ilu", or "march".
+
+    L is split into the sectors of its nonzero pattern (``fock.sectors``),
+    over which it is block diagonal. The trace functional is a left null
+    vector of every block holding a population entry rho_nn, so more than
+    one such block means a degenerate null space. The dense route counts
+    null eigenvalues over every block and takes the null vector of the
+    population block; the ILU route solves the trace-constrained system on
+    the population block alone and shows every other block nonsingular.
     """
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
     d = model.space.total_dim
     L = liouvillian(model)
+    blocks = sectors(L)
+    labels = np.empty(d * d, dtype=int)
+    for k, block in enumerate(blocks):
+        labels[block] = k
+    holding = np.unique(labels[np.arange(d) * (d + 1)])
+    if len(holding) > 1:
+        raise AmbiguityError(
+            f"Liouvillian has {len(holding)} decoupled sectors holding populations; "
+            "steady state ambiguous")
+    population = blocks[holding[0]]
 
     if method == "auto":
         method = "dense" if d <= 48 else "ilu"
     probe = None
     if method == "dense":
-        rho = _steady_dense(L.toarray(), d)
+        rho = _steady_dense(L, blocks, population, d)
     elif method == "ilu":
+        for block in blocks:
+            if block is not population:
+                _require_nonsingular(L, block, d)
         try:
-            rho, probe = _steady_ilu(L, d)
+            rho, probe = _steady_ilu(L, population, d)
         except NumericsError:
             rho = _steady_march(L, d, model)
     elif method == "march":

@@ -301,8 +301,9 @@ def beam_splitter(space: SpaceDescriptor, transmissivity: float) -> FieldOperato
         U-dag b U = -sqrt(R) a + sqrt(T) b,      R = 1 - T.
 
     The generator conserves total photon number, so the exponential is taken
-    block-by-block over the n_a + n_b sectors; the conjugation relations are
-    exact on every sector that is complete under the truncation.
+    block-by-block over the sectors of its pattern (the n_a + n_b shells, or
+    single basis states at theta = 0); the conjugation relations are exact on
+    every shell that is complete under the truncation.
     """
     if space.n_modes != 2:
         raise ContractError("beam_splitter needs a two-mode space")
@@ -311,12 +312,10 @@ def beam_splitter(space: SpaceDescriptor, transmissivity: float) -> FieldOperato
     theta = float(np.arccos(np.sqrt(transmissivity)))
     a = annihilation(space, 0).sparse()
     b = annihilation(space, 1).sparse()
-    K = (a.conj().T @ b - a @ b.conj().T) * theta
-    totals = space.number_values(0) + space.number_values(1)
+    K = ((a.conj().T @ b - a @ b.conj().T) * theta).tocsr()
     n = space.total_dim
     rows, cols, vals = [], [], []
-    for N in range(int(totals.max()) + 1):
-        idx = np.nonzero(totals == N)[0]
+    for idx in sectors(K):
         block = expm(K[idx][:, idx].toarray())
         rr, cc = np.meshgrid(idx, idx, indexing="ij")
         rows.append(rr.ravel())
@@ -327,6 +326,26 @@ def beam_splitter(space: SpaceDescriptor, transmissivity: float) -> FieldOperato
         shape=(n, n),
     )
     return _pack(space, U)
+
+
+def sectors(M) -> list[np.ndarray]:
+    """Decoupled index sectors of a square matrix.
+
+    Returns the weakly connected components of the nonzero pattern of ``M``
+    as sorted index arrays, ordered by each component's smallest index: no
+    nonzero entry of ``M`` couples two of them, so ``M`` is block diagonal
+    over them. The graph is built from the boolean pattern ``M != 0``:
+    csgraph casts complex values to real, which discards the purely
+    imaginary entries of -i[H, .].
+    """
+    # imported here so that commands which never split a matrix skip it
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(sp.csr_matrix(M != 0), directed=True,
+                                     connection="weak")
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted(blocks, key=lambda block: block[0])
 
 
 # ---------------------------------------------------------------------------

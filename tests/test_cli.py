@@ -62,6 +62,7 @@ class TestConfigValidation:
         ("kerr", "kt_max", "0"),
         ("kerr", "kappa", "0"),
         ("oscillator", "ratio_max", "1.5"),
+        ("oscillator", "kappa", "0"),
         ("nphoton", "husimi_points", "1"),
         ("medium", "e0_min", "-0.01"),
         ("dispersion", "k_min", "0"),
@@ -73,6 +74,19 @@ class TestConfigValidation:
         cfg.write_text(f"[{command}]\n{key} = {value}\n")
         out = tmp_path / "o"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "n_pump = 5\n",
+        "[squeeze]\nn_pump = 5\nn_pump = 6\n",
+        "[squeeze]\nn_pump = 5%\n",
+    ], ids=["no-section-header", "duplicate-key", "bad-interpolation"])
+    def test_malformed_ini_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["squeeze", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_command_from_config_run_section(self, tmp_path):

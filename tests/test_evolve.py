@@ -207,6 +207,19 @@ class TestSteadyState:
         with pytest.raises(AmbiguityError):
             evolve.steady_state(model)
 
+    @pytest.mark.parametrize("method", ["auto", "ilu", "dense"])
+    def test_traceless_null_vector_detected(self, method):
+        # sigma_x dephasing keeps sigma_x (x) |0><0| steady as well as the
+        # trace-one state; that second null vector is traceless and lives in
+        # a sector without populations
+        space = fock.make_space([2, 30])
+        a = fock.annihilation(space, 0)
+        model = models.ModelSpec(space, 0.3 * fock.number_operator(space, 1),
+                                 dissipators=((a + a.dag(), 0.5),
+                                              (fock.annihilation(space, 1), 0.7)))
+        with pytest.raises(AmbiguityError):
+            evolve.steady_state(model, method=method)
+
     def test_march_route_agrees(self):
         space = fock.make_space([10, 6])
         model = models.dpo_model(space, 0.3, 0.8, 0.7, 0.9)

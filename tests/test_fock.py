@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from nlo_quanta import fock, models
+from nlo_quanta import evolve, fock, models
 from nlo_quanta.errors import (
     ContractError,
     InvalidSpaceError,
@@ -302,6 +303,54 @@ class TestBeamSplitter:
         with pytest.raises(ContractError):
             fock.beam_splitter(fock.make_space([4]), 0.5)
 
+
+
+class TestSectors:
+    @staticmethod
+    def _labels(blocks, n):
+        labels = np.full(n, -1)
+        for k, block in enumerate(blocks):
+            labels[block] = k
+        return labels
+
+    @pytest.fixture
+    def dpo_liouvillian(self):
+        return evolve.liouvillian(models.dpo_model(fock.make_space([6, 4]), 0.3, 0.8, 0.7, 0.9))
+
+    def test_cover_every_index_once(self, dpo_liouvillian):
+        blocks = fock.sectors(dpo_liouvillian)
+        joined = np.concatenate(blocks)
+        np.testing.assert_array_equal(np.sort(joined), np.arange(dpo_liouvillian.shape[0]))
+        assert all(np.all(np.diff(b) > 0) for b in blocks)
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+
+    def test_no_coupling_between_sectors(self, dpo_liouvillian):
+        L = dpo_liouvillian.tocoo()
+        labels = self._labels(fock.sectors(L), L.shape[0])
+        coupled = L.data != 0
+        np.testing.assert_array_equal(labels[L.row[coupled]], labels[L.col[coupled]])
+
+    def test_dpo_splits_into_signal_parity_classes(self, dpo_liouvillian):
+        d = 24
+        blocks = fock.sectors(dpo_liouvillian)
+        assert len(blocks) == 2
+        n_a = fock.make_space([6, 4]).number_values(0)
+        parity = (n_a[:, None] - n_a[None, :]).reshape(-1) % 2
+        for block in blocks:
+            assert len(set(parity[block])) == 1
+        assert {int(parity[b[0]]) for b in blocks} == {0, 1}
+        assert sum(len(b) for b in blocks) == d * d
+
+    def test_imaginary_couplings_connect(self):
+        # -i[H, .] of a real H is purely imaginary; csgraph casts complex
+        # values to real, so the graph must come from the pattern
+        space = fock.make_space([5])
+        a = fock.annihilation(space, 0)
+        L = evolve.liouvillian(models.ModelSpec(space, a + a.dag()))
+        assert L.nnz > 0 and not np.any(L.data.real)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(fock.sectors(L)) == 1
 
 
 class TestSparseOperators:
