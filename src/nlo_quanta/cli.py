@@ -492,12 +492,12 @@ RUNNERS = {name: c.runner for name, c in TABLE.items() if name != "validate"}
 
 def run(cfg: ScenarioConfig, out_dir: str) -> ScenarioResult:
     """Execute a validated scenario and write its outputs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if cfg.command == "validate":
         tables, summary = run_validate(cfg, out_dir)
     else:
         tables, summary = RUNNERS[cfg.command](cfg.params)
-    result = ScenarioResult(cfg, tables, summary, time.time() - t0)
+    result = ScenarioResult(cfg, tables, summary, time.perf_counter() - t0)
     write_outputs(result, out_dir)
     if cfg.command == "validate" and not summary["all_passed"]:
         raise NumericsError("validate: one or more acceptance criteria failed")

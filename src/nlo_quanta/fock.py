@@ -8,7 +8,8 @@ Conventions
 * Flat indexing is row-major with mode 0 slowest: for dims ``(d0, d1, ...)``
   the occupation ``(n0, n1, ...)`` maps to ``n0*d1*d2*... + n1*d2*... + ...``.
 * Operators are dense below ``SPARSE_THRESHOLD`` total dimension and
-  ``scipy.sparse`` CSR above it; ladder operators are banded and benefit.
+  ``scipy.sparse`` CSR above it. Ladder operators are one ``sp.diags`` band;
+  ``beam_splitter`` takes one Hermitian ``eigh`` per photon-number shell.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .errors import (
     ContractError,
@@ -239,23 +239,16 @@ class QuantumState:
 # operators
 
 
-def _single_mode_lowering(dim: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr", dtype=complex)
-
-
-def _embed(space: SpaceDescriptor, mode: int, op1: sp.spmatrix) -> sp.csr_matrix:
-    space.check_mode(mode)
-    mat = sp.identity(1, format="csr", dtype=complex)
-    for k, d in enumerate(space.dims):
-        factor = op1 if k == mode else sp.identity(d, format="csr", dtype=complex)
-        mat = sp.kron(mat, factor, format="csr")
-    return mat
-
-
 def annihilation(space: SpaceDescriptor, mode: int = 0) -> FieldOperator:
-    """Lowering operator a on the given mode: a|n> = sqrt(n)|n-1>."""
+    """Lowering operator a on the given mode: a|n> = sqrt(n)|n-1>.
+
+    One band at the flat-index offset of one photon in ``mode``; its zeros,
+    where a column starts the mode's count afresh, are not stored.
+    """
     space.check_mode(mode)
-    return _pack(space, _embed(space, mode, _single_mode_lowering(space.dims[mode])))
+    stride = prod(space.dims[mode + 1:])
+    band = np.sqrt(space.number_values(mode)[stride:])
+    return _pack(space, sp.diags(band, stride, format="csr", dtype=complex))
 
 
 def creation(space: SpaceDescriptor, mode: int = 0) -> FieldOperator:
@@ -300,10 +293,11 @@ def beam_splitter(space: SpaceDescriptor, transmissivity: float) -> FieldOperato
         U-dag a U = sqrt(T) a + sqrt(R) b
         U-dag b U = -sqrt(R) a + sqrt(T) b,      R = 1 - T.
 
-    The generator conserves total photon number, so the exponential is taken
-    block-by-block over the sectors of its pattern (the n_a + n_b shells, or
-    single basis states at theta = 0); the conjugation relations are exact on
-    every shell that is complete under the truncation.
+    The anti-Hermitian generator K conserves total photon number, so each
+    sector of its pattern (an n_a + n_b shell) is exponentiated from one
+    Hermitian eigh, -iK = V w V-dag, as V e^{iw} V-dag; the 1x1 sectors (every
+    state at theta = 0) are exp(K_ii), filled in one step. The conjugation
+    relations are exact on every shell that is complete under the truncation.
     """
     if space.n_modes != 2:
         raise ContractError("beam_splitter needs a two-mode space")
@@ -313,17 +307,19 @@ def beam_splitter(space: SpaceDescriptor, transmissivity: float) -> FieldOperato
     a = annihilation(space, 0).sparse()
     b = annihilation(space, 1).sparse()
     K = ((a.conj().T @ b - a @ b.conj().T) * theta).tocsr()
-    n = space.total_dim
-    rows, cols, vals = [], [], []
-    for idx in sectors(K):
-        block = expm(K[idx][:, idx].toarray())
+    blocks = sectors(K)
+    single = np.array([idx[0] for idx in blocks if idx.size == 1], dtype=int)
+    rows, cols, vals = [single], [single], [np.exp(K.diagonal()[single])]
+    for idx in (idx for idx in blocks if idx.size > 1):
+        w, v = np.linalg.eigh(-1j * K[idx][:, idx].toarray())
+        block = (v * np.exp(1j * w)) @ v.conj().T
         rr, cc = np.meshgrid(idx, idx, indexing="ij")
         rows.append(rr.ravel())
         cols.append(cc.ravel())
         vals.append(block.ravel())
     U = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+        shape=K.shape,
     )
     return _pack(space, U)
 

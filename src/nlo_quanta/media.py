@@ -216,7 +216,10 @@ def group_velocity(k: float, c: DispersionCoeffs) -> float:
 
     obtained by differentiating k^2 beta^(1)(w) = mu0 w^2 along the branch.
     """
-    w_plus, _ = dispersion_omega(k, c)
+    return _group_velocity_at(k, dispersion_omega(k, c)[0], c)
+
+
+def _group_velocity_at(k: float, w_plus: float, c: DispersionCoeffs) -> float:
     denom = c.mu0 * w_plus - 0.5 * k ** 2 * c.beta1_deriv(w_plus)
     if denom <= 0:
         raise DomainError("group-velocity denominator lost positivity")
@@ -242,8 +245,8 @@ def mode_norm_Ak(k: float, c: DispersionCoeffs) -> float:
     if rad <= 0 or den <= 0:
         raise DomainError("mode normalization radicand lost positivity")
     a_k = rad ** 0.25
-    v_k = group_velocity(k, c)
-    a_k_group = np.sqrt(k * c.beta1(dispersion_omega(k, c)[0]) / v_k)
+    w_plus = dispersion_omega(k, c)[0]
+    a_k_group = np.sqrt(k * c.beta1(w_plus) / _group_velocity_at(k, w_plus, c))
     rel = abs(a_k - a_k_group) / a_k
     if rel >= MODE_NORM_AGREEMENT_TOL:
         raise DomainError(

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nlo_quanta import cli
+from nlo_quanta import cli, media
 
 REFERENCE_DIGESTS = pathlib.Path(__file__).parents[1] / "bench" / "reference_digests.json"
 
@@ -106,6 +106,21 @@ class TestOutputs:
             name = f"{table.name}.csv"
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == reference[name], name
+
+    def test_dispersion_solves_each_k_three_times(self, tmp_path, monkeypatch):
+        # the CLI's own root solve, group_velocity, and one shared solve inside
+        # mode_norm_Ak (which used to solve again through group_velocity)
+        calls = []
+        solve = media.dispersion_omega
+
+        def counted(k, c):
+            calls.append(k)
+            return solve(k, c)
+
+        monkeypatch.setattr(media, "dispersion_omega", counted)
+        cfg = cli.build_config("dispersion", {}, 0, 1, False)
+        cli.run(cfg, str(tmp_path))
+        assert len(calls) == 3 * cfg.params["points"]
 
     def test_squeeze_outputs(self, tmp_path):
         out = tmp_path / "out"

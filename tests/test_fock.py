@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.linalg import expm
 
 from nlo_quanta import evolve, fock, models
 from nlo_quanta.errors import (
@@ -293,6 +295,12 @@ class TestBeamSplitter:
         overlap = abs(np.vdot(expect.data, out.data))
         assert overlap > 1 - 1e-8
 
+    def test_full_transmission_is_exact_identity(self):
+        space = fock.make_space([60, 60])
+        u = fock.beam_splitter(space, 1.0)
+        assert u.matrix.nnz == space.total_dim
+        assert (u.matrix != scipy.sparse.identity(space.total_dim)).nnz == 0
+
     def test_transmissivity_bounds(self):
         sp = fock.make_space([4, 4])
         for bad in (-0.1, 1.1):
@@ -383,6 +391,54 @@ class TestSparseOperators:
         dense = op.dense()
         assert op.max_abs() == np.abs(dense).max()
         assert op.hermiticity_defect() == np.abs(dense - dense.conj().T).max()
+
+
+class TestFastPathReferences:
+    """Each fast operator builder against the slow construction it replaced."""
+
+    @staticmethod
+    def _kron_lowering(space, mode):
+        mat = scipy.sparse.identity(1, format="csr", dtype=complex)
+        for k, d in enumerate(space.dims):
+            if k == mode:
+                factor = scipy.sparse.diags(np.sqrt(np.arange(1, d)), 1, format="csr",
+                                            dtype=complex)
+            else:
+                factor = scipy.sparse.identity(d, format="csr", dtype=complex)
+            mat = scipy.sparse.kron(mat, factor, format="csr")
+        return fock._pack(space, mat).matrix
+
+    @pytest.mark.parametrize("dims", [[5, 5], [13, 15], [3, 4, 5], [30, 30, 30]])
+    def test_annihilation_matches_kron_embedding(self, dims):
+        space = fock.make_space(dims)
+        for mode in range(space.n_modes):
+            got = fock.annihilation(space, mode).matrix
+            want = self._kron_lowering(space, mode)
+            assert scipy.sparse.issparse(got) == scipy.sparse.issparse(want)
+            if scipy.sparse.issparse(want):
+                for attr in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+                    assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            else:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("transmissivity", [0.5, 0.96])
+    def test_beam_splitter_matches_shell_expm(self, transmissivity):
+        space = fock.make_space([12, 12])
+        a = self._kron_lowering(space, 0)
+        b = self._kron_lowering(space, 1)
+        theta = np.arccos(np.sqrt(transmissivity))
+        K = theta * (a.conj().T @ b - a @ b.conj().T)
+        want = np.zeros_like(K)
+        totals = space.number_values(0) + space.number_values(1)
+        for n in np.unique(totals):
+            shell = np.flatnonzero(totals == n)
+            want[np.ix_(shell, shell)] = expm(K[np.ix_(shell, shell)])
+        got = fock.beam_splitter(space, transmissivity).dense()
+        assert np.abs(got - want).max() <= 1e-13
+        assert np.abs(got.conj().T @ got - np.eye(space.total_dim)).max() <= 1e-13
+
 
 def _safe_columns(space):
     """Basis columns whose total-photon sector is complete under truncation."""
