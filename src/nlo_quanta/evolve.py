@@ -11,13 +11,18 @@ Numerical routes
 * Steady states: the Liouvillian is split into the decoupled sectors of its
   nonzero pattern (``fock.sectors``), e.g. the n_a - m_a parity classes of
   the parametric oscillator. Exactly one sector may hold populations
-  rho_nn; it carries the steady state. Small Liouvillians take a dense
-  eigendecomposition per sector, counting null eigenvalues over all of
-  them. Large ones solve a trace-constrained system on the population
-  sector with ILU-preconditioned GMRES, and every other sector must pass a
-  preconditioned GMRES solve that shows it nonsingular, so a traceless
-  second null vector is caught too. Krylov time-marching on the full space
-  is the fallback.
+  rho_nn; it carries the steady state. The default route solves a
+  trace-constrained system on the population sector with ILU-preconditioned
+  GMRES, and every other sector must pass a preconditioned GMRES solve that
+  shows it nonsingular, so a traceless second null vector is caught too.
+  L preserves hermiticity, so on a sector closed under rho -> rho^T it is a
+  real matrix in the coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn;
+  those sectors are solved in float64, and the steady state comes back
+  hermitian by construction. A sector whose transpose is another sector (a
+  mirror pair, e.g. the coherences of a number-conserving model) carries
+  the complex conjugate of its partner's L, so one sector of each pair is
+  checked, in complex form. A dense eigendecomposition per sector is the
+  slow reference; Krylov time-marching on the full space is the fallback.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .errors import AmbiguityError, ContractError, NumericsError
-from .fock import FieldOperator, QuantumState, sectors
+from .fock import HERMITICITY_TOL, FieldOperator, QuantumState, sectors
 from .models import ModelSpec
 
 DENSE_EVOLVE_DIM = 512
@@ -239,7 +244,7 @@ def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
         except RuntimeError as exc:  # exactly singular factor
             failure = str(exc)
             continue
-        M = spla.LinearOperator((n, n), ilu.solve)
+        M = spla.LinearOperator((n, n), ilu.solve, dtype=A.dtype)
         x, info = spla.gmres(A, rhs, M=M, rtol=rtol, atol=0.0, restart=100, maxiter=400)
         if info == 0:
             return x, M
@@ -247,7 +252,50 @@ def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
     raise NumericsError(f"preconditioned solve failed: {failure}")
 
 
-def _trace_row_system(L: sp.csr_matrix, pops: np.ndarray, row: int):
+def _hermitian_basis(block: np.ndarray, d: int):
+    """Sparse maps S and S^-1 between the entries of rho on a sector closed
+    under rho -> rho^T and real coordinates at the same positions: Re rho_nm
+    at rho_nm's and Im rho_nm at rho_mn's for n < m, and rho_nn at its own.
+    S maps every real vector to a hermitian one. Its entries are 1 and +-i,
+    those of S^-1 are 1 and +-1/2 and +-i/2, so both products are exact.
+    """
+    n, m = np.divmod(block, d)
+    upper = np.flatnonzero(n < m)
+    mirror = m[upper] * d + n[upper]
+    if not np.isin(mirror, block).all():
+        raise NumericsError("Liouvillian sector is not closed under rho -> rho^T")
+    lower = np.searchsorted(block, mirror)
+    diag = np.flatnonzero(n == m)
+    rows = np.concatenate([diag, upper, upper, lower, lower])
+    cols = np.concatenate([diag, upper, lower, upper, lower])
+    ones = np.ones(len(upper))
+    k = len(block)
+    S = sp.csc_matrix((np.concatenate([np.ones(len(diag)), ones, 1j * ones, ones, -1j * ones]),
+                       (rows, cols)), shape=(k, k))
+    S_inv = sp.csc_matrix((np.concatenate([np.ones(len(diag)), 0.5 * ones, 0.5 * ones,
+                                           -0.5j * ones, 0.5j * ones]),
+                           (rows, cols)), shape=(k, k))
+    return S, S_inv
+
+
+def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int):
+    """L on a sector closed under rho -> rho^T, written in the real
+    coordinates of ``_hermitian_basis``, and the map S back to rho.
+
+    A Lindblad generator preserves hermiticity, so S^-1 L S is real; an
+    imaginary part beyond the hermiticity tolerance of the Hamiltonian
+    raises NumericsError.
+    """
+    S, S_inv = _hermitian_basis(block, d)
+    Lc = (S_inv @ L[block][:, block] @ S).tocsc()
+    Lr = Lc.real.copy()
+    if abs(Lc.imag).max() > HERMITICITY_TOL * max(1.0, abs(Lr).max()):
+        raise NumericsError("Liouvillian sector does not preserve hermiticity")
+    Lr.eliminate_zeros()
+    return Lr, S
+
+
+def _trace_row_system(L: sp.csc_matrix, pops: np.ndarray, row: int):
     """Copy of L with one row replaced by the trace functional, the sum of
     the entries at ``pops``, set equal to 1."""
     n = L.shape[0]
@@ -255,39 +303,54 @@ def _trace_row_system(L: sp.csr_matrix, pops: np.ndarray, row: int):
     keep = C.row != row
     rows = np.concatenate([C.row[keep], np.full(len(pops), row, dtype=C.row.dtype)])
     cols = np.concatenate([C.col[keep], pops.astype(C.col.dtype)])
-    vals = np.concatenate([C.data[keep], np.ones(len(pops), dtype=complex)])
+    vals = np.concatenate([C.data[keep], np.ones(len(pops))])
     A = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    rhs = np.zeros(n, dtype=complex)
+    rhs = np.zeros(n)
     rhs[row] = 1.0
     return A, rhs
 
 
 def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
-    """Trace-constrained solve on the population block of L: replace one
-    row by Tr(rho) = 1, precondition with an incomplete LU, and polish with
-    GMRES.
+    """Trace-constrained solve on the population block of L in real
+    coordinates: replace the row of rho_00 by Tr(rho) = 1, precondition with
+    an incomplete LU, and polish with GMRES.
 
-    Returns the solution plus a second solve (same preconditioner,
-    constraint placed on a different row) used as a degeneracy probe: for a
-    one-dimensional null space both systems share a unique solution.
+    Returns the solution plus a second solve (constraint on the row of
+    rho_{d-1,d-1}) used as a degeneracy probe: for a one-dimensional null
+    space both systems share a unique solution. Both rows must be
+    populations, the entries the trace functional weighs; without the row
+    of a coherence the probe system is singular. Returns None when no rung
+    solves the first system. A probe that does not converge under the
+    solve's preconditioner walks the ladder on its own, and raises
+    NumericsError when no rung serves.
     """
-    Lp = L[population][:, population]
+    Lr, S = _real_block(L, population, d)
     pops = np.searchsorted(population, np.arange(d) * (d + 1))
-    A, rhs = _trace_row_system(Lp, pops, 0)
-    x, M = _ilu_gmres(A, rhs, 1e-13)
-    A2, rhs2 = _trace_row_system(Lp, pops, len(population) - 1)
-    x2, info2 = spla.gmres(A2, rhs2, M=M, rtol=1e-11, atol=0.0, restart=100, maxiter=400)
-    probe = _scatter(x2, population, d) if info2 == 0 else None
-    return _scatter(x, population, d), probe
+    A, rhs = _trace_row_system(Lr, pops, pops[0])
+    try:
+        x, M = _ilu_gmres(A, rhs, 1e-13)
+    except NumericsError:
+        return None
+    A2, rhs2 = _trace_row_system(Lr, pops, pops[-1])
+    x2, info = spla.gmres(A2, rhs2, M=M, rtol=1e-11, atol=0.0, restart=100, maxiter=400)
+    if info != 0:
+        try:
+            x2, _ = _ilu_gmres(A2, rhs2, 1e-11)
+        except NumericsError as exc:
+            raise NumericsError(f"degeneracy probe failed, so the null space is not shown "
+                                f"one-dimensional ({exc})") from exc
+    return _scatter(S @ x, population, d), _scatter(S @ x2, population, d)
 
 
-def _require_nonsingular(L: sp.csr_matrix, block: np.ndarray, d: int):
+def _require_nonsingular(L: sp.csr_matrix, block: np.ndarray, d: int, closed: bool):
     """Show a block of L without populations to be nonsingular: a
     preconditioned GMRES solve with a fixed random right-hand side must
-    converge. A singular block holds a traceless null vector of L."""
+    converge. A singular block holds a traceless null vector of L. A block
+    ``closed`` under rho -> rho^T is solved in real coordinates."""
+    A = _real_block(L, block, d)[0] if closed else L[block][:, block].tocsc()
     rhs = np.random.default_rng(0).standard_normal(len(block))
     try:
-        _ilu_gmres(L[block][:, block].tocsc(), rhs, 1e-8)
+        _ilu_gmres(A, rhs, 1e-8)
     except NumericsError as exc:
         n, m = divmod(int(block[0]), d)
         raise AmbiguityError(
@@ -345,10 +408,19 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     L is split into the sectors of its nonzero pattern (``fock.sectors``),
     over which it is block diagonal. The trace functional is a left null
     vector of every block holding a population entry rho_nn, so more than
-    one such block means a degenerate null space. The dense route counts
-    null eigenvalues over every block and takes the null vector of the
-    population block; the ILU route solves the trace-constrained system on
-    the population block alone and shows every other block nonsingular.
+    one such block means a degenerate null space.
+
+    "auto" is "ilu": it solves the trace-constrained system on the
+    population block alone and shows every other block nonsingular. A block
+    closed under rho -> rho^T is written in the real coordinates Re rho_nm,
+    Im rho_nm (n < m) and rho_nn and solved in float64; the trace row and
+    the degeneracy probe's row are populations. Of a mirror pair of blocks,
+    whose L are complex conjugates, one is checked, in complex form. A probe
+    that converges on no ILU rung raises NumericsError rather than skip the
+    degeneracy check. "dense" counts null eigenvalues over every block and
+    takes the null vector of the population block; it is the slow
+    reference. "march" steps exp(L t) from the vacuum; the ILU route falls
+    back to it when no ILU rung solves the population block.
     """
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
@@ -365,19 +437,22 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
             "steady state ambiguous")
     population = blocks[holding[0]]
 
-    if method == "auto":
-        method = "dense" if d <= 48 else "ilu"
     probe = None
     if method == "dense":
         rho = _steady_dense(L, blocks, population, d)
-    elif method == "ilu":
-        for block in blocks:
-            if block is not population:
-                _require_nonsingular(L, block, d)
-        try:
-            rho, probe = _steady_ilu(L, population, d)
-        except NumericsError:
+    elif method in ("auto", "ilu"):
+        for k, block in enumerate(blocks):
+            n, m = divmod(int(block[0]), d)
+            partner = labels[m * d + n]
+            # L on a mirror sector is the complex conjugate of L on its
+            # partner, so one sector of each pair is checked
+            if block is not population and partner >= k:
+                _require_nonsingular(L, block, d, closed=partner == k)
+        solved = _steady_ilu(L, population, d)
+        if solved is None:
             rho = _steady_march(L, d, model)
+        else:
+            rho, probe = solved
     elif method == "march":
         rho = _steady_march(L, d, model)
     else:

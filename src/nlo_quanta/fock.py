@@ -8,7 +8,7 @@ Conventions
 * Flat indexing is row-major with mode 0 slowest: for dims ``(d0, d1, ...)``
   the occupation ``(n0, n1, ...)`` maps to ``n0*d1*d2*... + n1*d2*... + ...``.
 * Operators are dense below ``SPARSE_THRESHOLD`` total dimension and
-  ``scipy.sparse`` CSR above it. Ladder operators are one ``sp.diags`` band;
+  ``scipy.sparse`` CSR above it. Ladder operators are one band of CSR arrays;
   ``beam_splitter`` takes one Hermitian ``eigh`` per photon-number shell.
 """
 
@@ -242,13 +242,21 @@ class QuantumState:
 def annihilation(space: SpaceDescriptor, mode: int = 0) -> FieldOperator:
     """Lowering operator a on the given mode: a|n> = sqrt(n)|n-1>.
 
-    One band at the flat-index offset of one photon in ``mode``; its zeros,
-    where a column starts the mode's count afresh, are not stored.
+    One band at the flat-index offset of one photon in ``mode``, built as
+    CSR arrays directly; its zeros, where a column starts the mode's count
+    afresh, are not stored.
     """
     space.check_mode(mode)
+    dim = space.total_dim
     stride = prod(space.dims[mode + 1:])
     band = np.sqrt(space.number_values(mode)[stride:])
-    return _pack(space, sp.diags(band, stride, format="csr", dtype=complex))
+    rows = np.flatnonzero(band)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    indptr[rows + 1] = 1
+    np.cumsum(indptr, out=indptr)
+    return _pack(space, sp.csr_matrix(
+        (band[rows].astype(complex), (rows + stride).astype(np.int32), indptr),
+        shape=(dim, dim)))
 
 
 def creation(space: SpaceDescriptor, mode: int = 0) -> FieldOperator:

@@ -9,6 +9,7 @@ they are part of the package's contract.
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,23 +374,38 @@ def run_criterion(number: int) -> CheckResult:
     return _CHECKS[number]()
 
 
+def _run_isolated(number: int) -> CheckResult:
+    """Run one criterion; one that raises is recorded as FAIL with its
+    exception and traceback in ``details``, so the rest of the matrix still
+    runs and is written."""
+    t0 = time.perf_counter()
+    check = _CHECKS[number]
+    try:
+        return check()
+    except Exception as exc:
+        return _result(number, check.__name__, False,
+                       {"error": f"{type(exc).__name__}: {exc}",
+                        "traceback": traceback.format_exc()}, t0)
+
+
 def run_all(fast: bool = False, threads: int = 1, printer=None) -> list[CheckResult]:
     """Run the acceptance matrix (the fast tier when ``fast``), optionally
-    spreading criteria over a thread pool; results come back ordered."""
+    spreading criteria over a thread pool; results come back ordered. A
+    criterion that raises counts as failed."""
     numbers = list(FAST_CRITERIA) if fast else sorted(_CHECKS)
     results: dict[int, CheckResult] = {}
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {n: pool.submit(_CHECKS[n]) for n in numbers}
+            futures = {n: pool.submit(_run_isolated, n) for n in numbers}
             for n in numbers:
                 results[n] = futures[n].result()
                 if printer:
                     printer(results[n].line())
     else:
         for n in numbers:
-            results[n] = _CHECKS[n]()
+            results[n] = _run_isolated(n)
             if printer:
                 printer(results[n].line())
     return [results[n] for n in numbers]

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from nlo_quanta import cli, media
+from nlo_quanta import cli, media, validation
+from nlo_quanta.errors import NumericsError
 
 REFERENCE_DIGESTS = pathlib.Path(__file__).parents[1] / "bench" / "reference_digests.json"
 
@@ -179,6 +180,23 @@ class TestOutputs:
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_raising_criterion_recorded_as_fail(self, tmp_path, monkeypatch, threads):
+        def check_raises():
+            raise NumericsError("solver blew up")
+
+        monkeypatch.setattr(validation, "_CHECKS",
+                            {2: validation._CHECKS[2], 5: check_raises})
+        out = tmp_path / "out"
+        code = cli.main(["validate", "--out", str(out), "--threads", str(threads)])
+        assert code == cli.EXIT_NUMERIC
+        matrix = json.loads((out / "validate_matrix.json").read_text())
+        assert matrix["criteria"]["2"]["passed"] is True
+        failed = matrix["criteria"]["5"]
+        assert failed["passed"] is False
+        assert failed["details"]["error"] == "NumericsError: solver blew up"
+        assert matrix["all_passed"] is False
+
     def test_fast_tier(self, tmp_path):
         out = tmp_path / "val"
         proc = run_cli(["validate", "--fast", "--out", str(out)])

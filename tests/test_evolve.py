@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from nlo_quanta import closed_form as cf
 from nlo_quanta import evolve, fock, models
-from nlo_quanta.errors import AmbiguityError, ContractError
+from nlo_quanta.errors import AmbiguityError, ContractError, NumericsError
+
+
+STEADY_ROUTES = ["auto", "ilu", "dense"]
 
 
 def _free_model(space, omega):
@@ -157,24 +161,44 @@ class TestEvolveLindblad:
             assert abs(np.trace(st.data) - 1.0) < 1e-8
 
 
+def _dpo(dims):
+    return models.dpo_model(fock.make_space(dims), 0.3, 0.8, 0.7, 0.9)
+
+
+def _damped_number():
+    space = fock.make_space([6])
+    return models.ModelSpec(space, fock.number_operator(space, 0),
+                            dissipators=((fock.annihilation(space, 0), 0.4),))
+
+
+def _driven_damped():
+    space = fock.make_space([14])
+    b = fock.annihilation(space, 0)
+    h = (1j * 0.4) * (b.dag() - b)
+    return models.ModelSpec(space, fock._pack(space, h.matrix),
+                            dissipators=((b, 0.8),), interaction_picture=True)
+
+
+STEADY_MODELS = {
+    "dpo-6-4": lambda: _dpo((6, 4)),
+    "dpo-7-4": lambda: _dpo((7, 4)),
+    "dpo-8-6": lambda: _dpo((8, 6)),
+    "damped-6": _damped_number,
+    "driven-14": _driven_damped,
+}
+
+
 class TestSteadyState:
     def test_pure_damping_gives_vacuum(self):
-        space = fock.make_space([6])
-        model = models.ModelSpec(space, fock.number_operator(space, 0),
-                                 dissipators=((fock.annihilation(space, 0), 0.4),))
-        rho = evolve.steady_state(model)
+        rho = evolve.steady_state(_damped_number())
         vac = np.zeros((6, 6), dtype=complex)
         vac[0, 0] = 1.0
         np.testing.assert_allclose(rho.data, vac, atol=1e-10)
 
     def test_driven_damped_coherent(self):
-        space = fock.make_space([14])
-        b = fock.annihilation(space, 0)
-        h = (1j * 0.4) * (b.dag() - b)
-        model = models.ModelSpec(space, fock._pack(space, h.matrix),
-                                 dissipators=((b, 0.8),), interaction_picture=True)
+        model = _driven_damped()
         rho = evolve.steady_state(model)
-        assert abs(fock.expectation(rho, b) - 0.5) < 1e-9
+        assert abs(fock.expectation(rho, fock.annihilation(model.space, 0)) - 0.5) < 1e-9
 
     def test_fixed_under_lindblad_step(self):
         # self-consistency oracle: evolving the steady state does not move it
@@ -204,10 +228,11 @@ class TestSteadyState:
         space = fock.make_space([4])
         model = models.ModelSpec(space, 0.0 * fock.number_operator(space, 0),
                                  dissipators=((fock.number_operator(space, 0), 0.5),))
-        with pytest.raises(AmbiguityError):
-            evolve.steady_state(model)
+        for method in STEADY_ROUTES:
+            with pytest.raises(AmbiguityError):
+                evolve.steady_state(model, method=method)
 
-    @pytest.mark.parametrize("method", ["auto", "ilu", "dense"])
+    @pytest.mark.parametrize("method", STEADY_ROUTES)
     def test_traceless_null_vector_detected(self, method):
         # sigma_x dephasing keeps sigma_x (x) |0><0| steady as well as the
         # trace-one state; that second null vector is traceless and lives in
@@ -226,3 +251,63 @@ class TestSteadyState:
         a = evolve.steady_state(model, method="ilu")
         b = evolve.steady_state(model, method="march")
         assert np.abs(a.data - b.data).max() < 1e-8
+
+    @pytest.mark.parametrize("name", list(STEADY_MODELS))
+    def test_ilu_matches_dense(self, name):
+        model = STEADY_MODELS[name]()
+        ilu = evolve.steady_state(model, method="ilu")
+        dense = evolve.steady_state(model, method="dense")
+        assert np.abs(ilu.data - dense.data).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["dpo-8-6", "driven-14"])
+    def test_real_basis_sector_is_real(self, name):
+        model = STEADY_MODELS[name]()
+        d = model.space.total_dim
+        L = evolve.liouvillian(model)
+        population = fock.sectors(L)[0]
+        S, S_inv = evolve._hermitian_basis(population, d)
+        Lc = S_inv @ L[population][:, population] @ S
+        assert abs(Lc.imag).max() == 0.0
+        assert abs(S_inv @ S - scipy.sparse.identity(len(population))).max() == 0.0
+        Lr, _ = evolve._real_block(L, population, d)
+        assert Lr.dtype == np.float64
+        assert abs(Lr - Lc.real).max() == 0.0
+
+    @pytest.mark.parametrize("method", ["auto", "ilu"])
+    def test_steady_state_exactly_hermitian(self, method):
+        rho = evolve.steady_state(_dpo((8, 6)), method=method).data
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_one_nonsingularity_solve_per_mirror_pair(self, monkeypatch):
+        # number-conserving: the sectors are the 11 coherence orders n - m,
+        # and order k mirrors order -k under rho -> rho^T
+        model = _damped_number()
+        assert len(fock.sectors(evolve.liouvillian(model))) == 11
+        calls = []
+        real_ilu_gmres = evolve._ilu_gmres
+
+        def counting(A, rhs, rtol):
+            calls.append(A.dtype)
+            return real_ilu_gmres(A, rhs, rtol)
+
+        monkeypatch.setattr(evolve, "_ilu_gmres", counting)
+        evolve.steady_state(model, method="ilu")
+        # one real population solve and one complex check per mirror pair
+        assert sorted(map(str, calls)) == ["complex128"] * 5 + ["float64"]
+
+    def test_probe_failure_does_not_skip_degeneracy_check(self, monkeypatch):
+        real_gmres = evolve.spla.gmres
+        probes = []
+
+        def gmres(A, rhs, **kwargs):
+            # the probe is the system constrained on the last population row
+            if rhs[-1] == 1.0 and not rhs[:-1].any():
+                probes.append(A.shape)
+                return np.zeros_like(rhs), 1
+            return real_gmres(A, rhs, **kwargs)
+
+        monkeypatch.setattr(evolve.spla, "gmres", gmres)
+        with pytest.raises(NumericsError, match="degeneracy probe"):
+            evolve.steady_state(_dpo((8, 6)), method="ilu")
+        # under the solve's preconditioner, then once per rung of its own
+        assert len(probes) == 1 + len(evolve.ILU_LADDER)
