@@ -21,8 +21,13 @@ Numerical routes
   hermitian by construction. A sector whose transpose is another sector (a
   mirror pair, e.g. the coherences of a number-conserving model) carries
   the complex conjugate of its partner's L, so one sector of each pair is
-  checked, in complex form. A dense eigendecomposition per sector is the
-  slow reference; Krylov time-marching on the full space is the fallback.
+  checked, in complex form. Every sector ILU factors in the sector's own
+  row-major order of rho, which is already banded (``permc_spec="NATURAL"``);
+  minimum-degree reordering only adds fill there. Under that order the
+  solve's trace row stays rho_00's, the block's first row, and the
+  degeneracy probe's is rho_11's: a trace row put last leaves some ILU rungs
+  exactly singular. A dense eigendecomposition per sector is the slow
+  reference; Krylov time-marching on the full space is the fallback.
 """
 
 from __future__ import annotations
@@ -224,13 +229,20 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times,
     return result
 
 
-#: (drop_tol, fill_factor) rungs tried in order for the sector ILUs.
+#: (drop_tol, fill_factor) rungs tried in order for the sector ILUs, which
+#: factor in band (NATURAL) order. With the trace rows on rho_00 (solve) and
+#: rho_11 (probe), every rung factors the DPO population systems from (6, 4)
+#: to (13, 15); on rho_{d-1,d-1}'s row the second rung is exactly singular.
 ILU_LADDER = ((1e-1, 2), (3e-2, 2), (1e-3, 6))
 
 
 def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
     """GMRES on A x = rhs, preconditioned by the first rung of
     ``ILU_LADDER`` whose incomplete LU lets it converge.
+
+    A is factored in its given order (``permc_spec="NATURAL"``): a sector's
+    row-major order of rho is banded, and minimum degree only adds fill.
+    The order also keeps a trace row where ``_steady_ilu`` puts it.
 
     Returns the solution and the preconditioner; raises NumericsError when
     no rung converges.
@@ -240,7 +252,7 @@ def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
     for drop_tol, fill in ILU_LADDER:
         try:
             ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill,
-                             permc_spec="MMD_AT_PLUS_A")
+                             permc_spec="NATURAL")
         except RuntimeError as exc:  # exactly singular factor
             failure = str(exc)
             continue
@@ -316,10 +328,12 @@ def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
     an incomplete LU, and polish with GMRES.
 
     Returns the solution plus a second solve (constraint on the row of
-    rho_{d-1,d-1}) used as a degeneracy probe: for a one-dimensional null
-    space both systems share a unique solution. Both rows must be
-    populations, the entries the trace functional weighs; without the row
-    of a coherence the probe system is singular. Returns None when no rung
+    rho_11) used as a degeneracy probe: for a one-dimensional null space
+    both systems share a unique solution. Both rows must be populations, the
+    entries the trace functional weighs; without the row of a coherence the
+    probe system is singular. Under the band order of the ILU a trace row
+    near the top keeps every rung nonsingular, where rho_{d-1,d-1}'s row
+    leaves some rungs exactly singular. Returns None when no rung
     solves the first system. A probe that does not converge under the
     solve's preconditioner walks the ladder on its own, and raises
     NumericsError when no rung serves.
@@ -331,7 +345,7 @@ def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
         x, M = _ilu_gmres(A, rhs, 1e-13)
     except NumericsError:
         return None
-    A2, rhs2 = _trace_row_system(Lr, pops, pops[-1])
+    A2, rhs2 = _trace_row_system(Lr, pops, pops[1])
     x2, info = spla.gmres(A2, rhs2, M=M, rtol=1e-11, atol=0.0, restart=100, maxiter=400)
     if info != 0:
         try:
@@ -414,13 +428,14 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     population block alone and shows every other block nonsingular. A block
     closed under rho -> rho^T is written in the real coordinates Re rho_nm,
     Im rho_nm (n < m) and rho_nn and solved in float64; the trace row and
-    the degeneracy probe's row are populations. Of a mirror pair of blocks,
-    whose L are complex conjugates, one is checked, in complex form. A probe
-    that converges on no ILU rung raises NumericsError rather than skip the
-    degeneracy check. "dense" counts null eigenvalues over every block and
-    takes the null vector of the population block; it is the slow
-    reference. "march" steps exp(L t) from the vacuum; the ILU route falls
-    back to it when no ILU rung solves the population block.
+    the degeneracy probe's row are those of rho_00 and rho_11, and the ILUs
+    factor in band order. Of a mirror pair of blocks, whose L are complex
+    conjugates, one is checked, in complex form. A probe that converges on
+    no ILU rung raises NumericsError rather than skip the degeneracy check.
+    "dense" counts null eigenvalues over every block and takes the null
+    vector of the population block; it is the slow reference. "march" steps
+    exp(L t) from the vacuum; the ILU route falls back to it when no ILU
+    rung solves the population block.
     """
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")

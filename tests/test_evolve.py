@@ -187,6 +187,26 @@ STEADY_MODELS = {
     "driven-14": _driven_damped,
 }
 
+#: DPO models whose ``auto`` route is pinned: the (12, 12) oscillator is
+#: the far-below-threshold model of ``test_oscillator``
+ROUTE_MODELS = {
+    "dpo-8-6": lambda: _dpo((8, 6)),
+    "dpo-10-6": lambda: _dpo((10, 6)),
+    "oscillator-12-12": lambda: models.dpo_model(fock.make_space([12, 12]), 0.2, 1.5, 1.0, 1.0),
+}
+
+ORDER_MODELS = {**STEADY_MODELS, "dpo-10-6": ROUTE_MODELS["dpo-10-6"]}
+
+
+def _probe_rhs(model):
+    """Right-hand side of the degeneracy probe: the trace constraint on
+    rho_11's row of the population block."""
+    d = model.space.total_dim
+    population = fock.sectors(evolve.liouvillian(model))[0]
+    rhs = np.zeros(len(population))
+    rhs[np.searchsorted(population, d + 1)] = 1.0
+    return rhs
+
 
 class TestSteadyState:
     def test_pure_damping_gives_vacuum(self):
@@ -296,18 +316,79 @@ class TestSteadyState:
         assert sorted(map(str, calls)) == ["complex128"] * 5 + ["float64"]
 
     def test_probe_failure_does_not_skip_degeneracy_check(self, monkeypatch):
+        model = _dpo((8, 6))
+        probe = _probe_rhs(model)
         real_gmres = evolve.spla.gmres
         probes = []
 
         def gmres(A, rhs, **kwargs):
-            # the probe is the system constrained on the last population row
-            if rhs[-1] == 1.0 and not rhs[:-1].any():
+            if np.array_equal(rhs, probe):
                 probes.append(A.shape)
                 return np.zeros_like(rhs), 1
             return real_gmres(A, rhs, **kwargs)
 
         monkeypatch.setattr(evolve.spla, "gmres", gmres)
         with pytest.raises(NumericsError, match="degeneracy probe"):
-            evolve.steady_state(_dpo((8, 6)), method="ilu")
+            evolve.steady_state(model, method="ilu")
         # under the solve's preconditioner, then once per rung of its own
         assert len(probes) == 1 + len(evolve.ILU_LADDER)
+
+    @pytest.mark.parametrize("name", list(ORDER_MODELS))
+    def test_band_order_matches_minimum_degree(self, name, monkeypatch):
+        # the sector ILUs factor in band order; the minimum-degree order
+        # they replace is the reference
+        model = ORDER_MODELS[name]()
+        shipped = evolve.steady_state(model).data
+        real_spilu = evolve.spla.spilu
+
+        def minimum_degree(A, **kwargs):
+            return real_spilu(A, **{**kwargs, "permc_spec": "MMD_AT_PLUS_A"})
+
+        monkeypatch.setattr(evolve.spla, "spilu", minimum_degree)
+        reference = evolve.steady_state(model).data
+        assert np.abs(shipped - reference).max() < 1e-12
+
+    @pytest.mark.parametrize("name", list(ROUTE_MODELS))
+    def test_route_is_pinned(self, name, monkeypatch):
+        model = ROUTE_MODELS[name]()
+        real_spilu, real_gmres = evolve.spla.spilu, evolve.spla.gmres
+        rungs, solves = [], []
+
+        def spilu(A, **kwargs):
+            rungs.append((kwargs["drop_tol"], kwargs["fill_factor"]))
+            return real_spilu(A, **kwargs)
+
+        def gmres(A, rhs, **kwargs):
+            solves.append(A.shape)
+            return real_gmres(A, rhs, **kwargs)
+
+        monkeypatch.setattr(evolve.spla, "spilu", spilu)
+        monkeypatch.setattr(evolve.spla, "gmres", gmres)
+        evolve.steady_state(model)
+        # the population and odd-parity sectors each factor on the first rung;
+        # GMRES runs the solve, the probe and the odd-sector check
+        assert rungs == [evolve.ILU_LADDER[0]] * 2
+        assert len(solves) == 3
+
+    def test_every_rung_factors_probe_system(self, monkeypatch):
+        model = _dpo((8, 6))
+        size = len(_probe_rhs(model))
+        real_spilu, real_gmres = evolve.spla.spilu, evolve.spla.gmres
+        orders, systems = [], []
+
+        def spilu(A, **kwargs):
+            orders.append(kwargs["permc_spec"])
+            return real_spilu(A, **kwargs)
+
+        def gmres(A, rhs, **kwargs):
+            # the probe's trace row is any population row but rho_00's
+            if len(rhs) == size and np.count_nonzero(rhs) == 1 and rhs[0] == 0.0:
+                systems.append(A)
+            return real_gmres(A, rhs, **kwargs)
+
+        monkeypatch.setattr(evolve.spla, "spilu", spilu)
+        monkeypatch.setattr(evolve.spla, "gmres", gmres)
+        evolve.steady_state(model)
+        assert len(systems) == 1 and len(set(orders)) == 1
+        for drop_tol, fill in evolve.ILU_LADDER:
+            real_spilu(systems[0], drop_tol=drop_tol, fill_factor=fill, permc_spec=orders[0])
