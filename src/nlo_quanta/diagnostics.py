@@ -30,7 +30,7 @@ from .fock import (
     partial_trace,
     quadrature,
     variance,
-    _pack,
+    _coherent_amplitudes,
 )
 
 VERDICT_SLACK = 1e-12
@@ -81,8 +81,8 @@ def _report(name: str, value: float, threshold: float, label: str,
 
 def _mode_quadratures(space: SpaceDescriptor, mode: int):
     a = annihilation(space, mode)
-    x = _pack(space, (a.dag().matrix + a.matrix) / np.sqrt(2.0))
-    p = _pack(space, 1j * (a.dag().matrix - a.matrix) / np.sqrt(2.0))
+    x = FieldOperator(space, (a.dag().matrix + a.matrix) / np.sqrt(2.0))
+    p = FieldOperator(space, 1j * (a.dag().matrix - a.matrix) / np.sqrt(2.0))
     return x, p
 
 
@@ -167,14 +167,8 @@ def husimi_q(state: QuantumState, mode: int, grid: np.ndarray) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=complex)
     rho = partial_trace(state, [mode]) if state.space.n_modes > 1 else state
-    dim = rho.space.dims[0]
-    alphas = grid.ravel()
     # columns of V are truncated coherent vectors for each alpha
-    V = np.empty((dim, alphas.size), dtype=complex)
-    V[0] = 1.0
-    for nn in range(1, dim):
-        V[nn] = V[nn - 1] * alphas / np.sqrt(nn)
-    V *= np.exp(-0.5 * np.abs(alphas) ** 2)
+    V, _ = _coherent_amplitudes(grid.ravel(), rho.space.dims[0])
     if rho.is_pure:
         q = np.abs(V.conj().T @ rho.data) ** 2
     else:

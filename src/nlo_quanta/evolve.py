@@ -26,13 +26,14 @@ Numerical routes
   minimum-degree reordering only adds fill there. Under that order the
   solve's trace row stays rho_00's, the block's first row, and the
   degeneracy probe's is rho_11's: a trace row put last leaves some ILU rungs
-  exactly singular. A dense eigendecomposition per sector is the slow
-  reference; Krylov time-marching on the full space is the fallback.
+  exactly singular. A sector that no ILU rung solves is taken to be
+  singular and raises AmbiguityError. A dense eigendecomposition per sector
+  is the slow reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,35 +48,22 @@ DENSE_EVOLVE_DIM = 512
 PURE_NORM_TOL = 1e-9
 TRACE_TOL = 1e-8
 STEADY_RESIDUAL_TOL = 1e-10
+LINDBLAD_RTOL = 1e-10
+LINDBLAD_ATOL = 1e-12
 
 
 @dataclass
 class EvolutionResult:
-    """Sampled trajectory: states at the requested times plus named series."""
+    """Sampled trajectory: the states at the requested times."""
 
     model: ModelSpec
     times: np.ndarray
     states: list
-    observables: dict = field(default_factory=dict)
-
-    def state_at(self, i: int) -> QuantumState:
-        return self.states[i]
 
     def expectation_series(self, op: FieldOperator) -> np.ndarray:
         from .fock import expectation
 
         return np.array([expectation(s, op) for s in self.states])
-
-    def variance_series(self, op: FieldOperator) -> np.ndarray:
-        from .fock import variance
-
-        return np.array([variance(s, op) for s in self.states])
-
-
-def _record_observables(result: EvolutionResult, observables):
-    if observables:
-        for name, op in observables.items():
-            result.observables[name] = result.expectation_series(op)
 
 
 def _require_forward_times(times):
@@ -85,8 +73,7 @@ def _require_forward_times(times):
         raise ContractError("ODE-based evolution needs nondecreasing times >= 0")
 
 
-def evolve_pure(model: ModelSpec, psi0: QuantumState, times,
-                observables: dict | None = None) -> EvolutionResult:
+def evolve_pure(model: ModelSpec, psi0: QuantumState, times) -> EvolutionResult:
     """Schroedinger evolution psi(t) = U(t) psi0 for a dissipation-free model.
 
     Raises ContractError if the model carries dissipators or psi0 is not
@@ -145,9 +132,7 @@ def evolve_pure(model: ModelSpec, psi0: QuantumState, times,
         if abs(nrm - 1.0) >= PURE_NORM_TOL or not np.isfinite(nrm):
             raise NumericsError(f"norm drift {abs(nrm - 1.0):.2e} at t={t} exceeds 1e-9")
         states.append(QuantumState(model.space, "pure", v / nrm, psi0.tail_mass))
-    result = EvolutionResult(model, times, states)
-    _record_observables(result, observables)
-    return result
+    return EvolutionResult(model, times, states)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +178,12 @@ def _check_density_sample(space, m, t, tail):
     return QuantumState(space, "density", m, tail)
 
 
-def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times,
-                    observables: dict | None = None,
-                    rtol: float = 1e-10, atol: float = 1e-12) -> EvolutionResult:
+def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionResult:
     """Integrate the master equation d rho/dt = -i[H, rho] + sum Lambda.
 
-    Pure initial states are auto-promoted to densities. Trace and
-    hermiticity are verified (not repaired beyond 1e-8) at every sample.
+    Pure initial states are auto-promoted to densities. DOP853 runs at
+    ``LINDBLAD_RTOL``/``LINDBLAD_ATOL``. Trace and hermiticity are verified
+    (not repaired beyond 1e-8) at every sample.
     """
     if rho0.space != model.space:
         raise ContractError("state and model live on different spaces")
@@ -209,24 +193,19 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times,
     d = model.space.total_dim
     L = liouvillian(model)
     if np.all(times == 0.0):
-        states = [rho0 for _ in times]
-        result = EvolutionResult(model, times, states)
-        _record_observables(result, observables)
-        return result
+        return EvolutionResult(model, times, [rho0 for _ in times])
 
     def rhs(t, y):
         return L @ y
 
     sol = solve_ivp(rhs, (0.0, times.max()),
                     rho0.data.reshape(-1).astype(complex),
-                    t_eval=times, method="DOP853", rtol=rtol, atol=atol)
+                    t_eval=times, method="DOP853", rtol=LINDBLAD_RTOL, atol=LINDBLAD_ATOL)
     if not sol.success:
         raise NumericsError(f"Lindblad integration failed: {sol.message}")
     states = [_check_density_sample(model.space, sol.y[:, i].reshape(d, d), t, rho0.tail_mass)
               for i, t in enumerate(times)]
-    result = EvolutionResult(model, times, states)
-    _record_observables(result, observables)
-    return result
+    return EvolutionResult(model, times, states)
 
 
 #: (drop_tol, fill_factor) rungs tried in order for the sector ILUs, which
@@ -262,6 +241,19 @@ def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
             return x, M
         failure = f"GMRES did not converge (info {info}) at drop_tol {drop_tol}"
     raise NumericsError(f"preconditioned solve failed: {failure}")
+
+
+def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, block: np.ndarray, d: int):
+    """``_ilu_gmres`` on the system A of the sector ``block`` of L. A sector
+    that no rung solves is taken to be singular: it holds a second null
+    vector of L, and AmbiguityError names it."""
+    try:
+        return _ilu_gmres(A, rhs, rtol)
+    except NumericsError as exc:
+        n, m = divmod(int(block[0]), d)
+        raise AmbiguityError(
+            f"Liouvillian sector of {len(block)} entries from rho[{n}, {m}] looks singular, "
+            f"so the null space is degenerate ({exc})") from exc
 
 
 def _hermitian_basis(block: np.ndarray, d: int):
@@ -333,18 +325,15 @@ def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
     entries the trace functional weighs; without the row of a coherence the
     probe system is singular. Under the band order of the ILU a trace row
     near the top keeps every rung nonsingular, where rho_{d-1,d-1}'s row
-    leaves some rungs exactly singular. Returns None when no rung
-    solves the first system. A probe that does not converge under the
-    solve's preconditioner walks the ladder on its own, and raises
-    NumericsError when no rung serves.
+    leaves some rungs exactly singular. When no rung solves the first
+    system the block is taken to be singular (``_solve_sector``). A probe
+    that does not converge under the solve's preconditioner walks the ladder
+    on its own, and raises NumericsError when no rung serves.
     """
     Lr, S = _real_block(L, population, d)
     pops = np.searchsorted(population, np.arange(d) * (d + 1))
     A, rhs = _trace_row_system(Lr, pops, pops[0])
-    try:
-        x, M = _ilu_gmres(A, rhs, 1e-13)
-    except NumericsError:
-        return None
+    x, M = _solve_sector(A, rhs, 1e-13, population, d)
     A2, rhs2 = _trace_row_system(Lr, pops, pops[1])
     x2, info = spla.gmres(A2, rhs2, M=M, rtol=1e-11, atol=0.0, restart=100, maxiter=400)
     if info != 0:
@@ -362,14 +351,7 @@ def _require_nonsingular(L: sp.csr_matrix, block: np.ndarray, d: int, closed: bo
     converge. A singular block holds a traceless null vector of L. A block
     ``closed`` under rho -> rho^T is solved in real coordinates."""
     A = _real_block(L, block, d)[0] if closed else L[block][:, block].tocsc()
-    rhs = np.random.default_rng(0).standard_normal(len(block))
-    try:
-        _ilu_gmres(A, rhs, 1e-8)
-    except NumericsError as exc:
-        n, m = divmod(int(block[0]), d)
-        raise AmbiguityError(
-            f"Liouvillian sector of {len(block)} entries from rho[{n}, {m}] looks singular, "
-            f"so the null space is degenerate ({exc})") from exc
+    _solve_sector(A, np.random.default_rng(0).standard_normal(len(block)), 1e-8, block, d)
 
 
 def _scatter(x: np.ndarray, block: np.ndarray, d: int) -> np.ndarray:
@@ -395,48 +377,35 @@ def _steady_dense(L: sp.csr_matrix, blocks: list, population: np.ndarray,
     return _scatter(v, population, d)
 
 
-def _steady_march(L: sp.csr_matrix, d: int, model: ModelSpec) -> np.ndarray:
-    """March exp(L t) from the vacuum until the residual stops improving."""
-    v = np.zeros(d * d, dtype=complex)
-    v[0] = 1.0
-    rates = [g for _, g in model.dissipators if g > 0]
-    step = 10.0 / min(rates)
-    best = np.inf
-    for _ in range(20):
-        v = spla.expm_multiply(L * step, v)
-        res = float(np.linalg.norm(L @ v) / np.linalg.norm(v))
-        if res < 1e-13 or res > 0.9 * best:
-            break
-        best = res
-    return v.reshape(d, d)
-
-
 def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     """Null vector of the Liouvillian, normalized to trace 1.
 
     Requires at least one positive-rate dissipator. The returned density
     satisfies ||L(rho)||_F < 1e-10 (Frobenius, trace-normalized); a
     degenerate null space raises AmbiguityError instead of averaging.
-    ``method`` may be "auto", "dense", "ilu", or "march".
+    ``method`` is "auto" (the default) or "dense"; any other value raises
+    ContractError.
 
     L is split into the sectors of its nonzero pattern (``fock.sectors``),
     over which it is block diagonal. The trace functional is a left null
     vector of every block holding a population entry rho_nn, so more than
     one such block means a degenerate null space.
 
-    "auto" is "ilu": it solves the trace-constrained system on the
-    population block alone and shows every other block nonsingular. A block
-    closed under rho -> rho^T is written in the real coordinates Re rho_nm,
-    Im rho_nm (n < m) and rho_nn and solved in float64; the trace row and
-    the degeneracy probe's row are those of rho_00 and rho_11, and the ILUs
-    factor in band order. Of a mirror pair of blocks, whose L are complex
-    conjugates, one is checked, in complex form. A probe that converges on
-    no ILU rung raises NumericsError rather than skip the degeneracy check.
-    "dense" counts null eigenvalues over every block and takes the null
-    vector of the population block; it is the slow reference. "march" steps
-    exp(L t) from the vacuum; the ILU route falls back to it when no ILU
-    rung solves the population block.
+    "auto" solves the trace-constrained system on the population block
+    alone with ILU-preconditioned GMRES and shows every other block
+    nonsingular. A block closed under rho -> rho^T is written in the real
+    coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn and solved in
+    float64; the trace row and the degeneracy probe's row are those of
+    rho_00 and rho_11, and the ILUs factor in band order. Of a mirror pair of blocks, whose L are complex
+    conjugates, one is checked, in complex form. One failure rule covers
+    every block: a block that no ``ILU_LADDER`` rung solves, the population
+    block included, raises AmbiguityError naming it. A probe that converges
+    on no ILU rung raises NumericsError rather than skip the degeneracy
+    check. "dense" counts null eigenvalues over every block and takes the
+    null vector of the population block; it is the slow reference.
     """
+    if method not in ("auto", "dense"):
+        raise ContractError(f"unknown steady-state method {method!r}")
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
     d = model.space.total_dim
@@ -455,7 +424,7 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     probe = None
     if method == "dense":
         rho = _steady_dense(L, blocks, population, d)
-    elif method in ("auto", "ilu"):
+    else:
         for k, block in enumerate(blocks):
             n, m = divmod(int(block[0]), d)
             partner = labels[m * d + n]
@@ -463,15 +432,7 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
             # partner, so one sector of each pair is checked
             if block is not population and partner >= k:
                 _require_nonsingular(L, block, d, closed=partner == k)
-        solved = _steady_ilu(L, population, d)
-        if solved is None:
-            rho = _steady_march(L, d, model)
-        else:
-            rho, probe = solved
-    elif method == "march":
-        rho = _steady_march(L, d, model)
-    else:
-        raise ContractError(f"unknown steady-state method {method!r}")
+        rho, probe = _steady_ilu(L, population, d)
 
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real

@@ -138,7 +138,10 @@ class FieldOperator:
         return _as_sparse(self.matrix).astype(complex, copy=False)
 
     def dag(self) -> "FieldOperator":
-        return FieldOperator(self.space, self.matrix.conj().T)
+        """Hermitian adjoint, in the same storage: a sparse adjoint is CSR
+        again, so operator arithmetic keeps CSR throughout."""
+        adj = self.matrix.conj().T
+        return FieldOperator(self.space, adj.tocsr() if sp.issparse(adj) else adj)
 
     def hermiticity_defect(self) -> float:
         return (self - self.dag()).max_abs()
@@ -367,15 +370,21 @@ def vacuum_state(space: SpaceDescriptor) -> QuantumState:
     return fock_state(space, (0,) * space.n_modes)
 
 
-def _coherent_amplitudes(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
-    """Truncated coherent amplitudes and the Poisson tail mass beyond dim."""
-    amps = np.empty(dim, dtype=complex)
+def _coherent_amplitudes(alpha, dim: int):
+    """Truncated coherent amplitudes and the Poisson tail mass beyond dim.
+
+    ``alpha`` is one complex amplitude or an array of them; for an array
+    of shape s the amplitudes have shape ``(dim,) + s`` and the tails shape
+    s. A scalar alpha stays a Python scalar in the recurrence: array
+    arithmetic can round a complex product differently in the last bit.
+    """
+    amps = np.empty((dim,) + np.shape(alpha), dtype=complex)
     amps[0] = 1.0
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
     amps *= np.exp(-abs(alpha) ** 2 / 2.0)
-    kept = float(np.sum(np.abs(amps) ** 2))
-    return amps, max(0.0, 1.0 - kept)
+    kept = np.sum(np.abs(amps) ** 2, axis=0)
+    return amps, np.maximum(0.0, 1.0 - kept)
 
 
 def coherent_state(
@@ -398,7 +407,7 @@ def coherent_state(
             raise TruncationError(
                 f"mode {k}: coherent tail mass {tail:.3e} exceeds tolerance {tail_tol:.1e} "
                 f"(|alpha|={abs(alpha):.3g}, dim={dim})")
-        total_tail += tail
+        total_tail += float(tail)
         vec = np.kron(vec, amps)
     vec = vec / np.linalg.norm(vec)
     return QuantumState(space, "pure", vec, tail_mass=total_tail)

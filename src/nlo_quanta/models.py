@@ -113,8 +113,8 @@ def h_two_mode_chi2(space: SpaceDescriptor, omega: float, kappa: float) -> Model
     H = omega * na + (2.0 * omega) * nb + kappa * (hint + hint.dag())
     M = na + 2.0 * nb
     return ModelSpec(
-        space, _pack(space, H.matrix),
-        charges={"M": _pack(space, M.matrix)},
+        space, H,
+        charges={"M": M},
         kind="two_mode_chi2",
         params={"omega": omega, "kappa": kappa},
     )
@@ -140,13 +140,13 @@ def h_three_mode_chi2(space: SpaceDescriptor, omega1: float, omega2: float,
     hint = c.dag() @ a @ b
     H = (omega1 + omega2) * nc + omega1 * na + omega2 * nb + kappa * (hint + hint.dag())
     charges = {
-        "M1": _pack(space, (na - nb).matrix),
-        "M2": _pack(space, (2.0 * nc + na + nb).matrix),
-        "K1": _pack(space, (nc + na).matrix),
-        "K2": _pack(space, (nc + nb).matrix),
+        "M1": na - nb,
+        "M2": 2.0 * nc + na + nb,
+        "K1": nc + na,
+        "K2": nc + nb,
     }
     return ModelSpec(
-        space, _pack(space, H.matrix), charges=charges,
+        space, H, charges=charges,
         kind="three_mode_chi2",
         params={"omega1": omega1, "omega2": omega2, "kappa": kappa},
     )
@@ -214,8 +214,8 @@ def h_nphoton(space: SpaceDescriptor, omega: float, kappa_n: float, n: int) -> M
     hint = adn @ b
     H = omega * na + (n * omega) * nb + kappa_n * (hint + hint.dag())
     return ModelSpec(
-        space, _pack(space, H.matrix),
-        charges={"Mn": _pack(space, (na + float(n) * nb).matrix)},
+        space, H,
+        charges={"Mn": na + float(n) * nb},
         kind="nphoton",
         params={"omega": omega, "kappa_n": kappa_n, "n": n},
     )
@@ -254,14 +254,14 @@ def h_parametric_classical_pump(
     hp = (1j * gain) * (np.exp(1j * phase) * ad2 - np.exp(-1j * phase) * (ad2.dag()))
     params = {"kappa": kappa, "n_pump": np_pump, "phi_p": phase, "omega": omega}
     if rotating_frame:
-        return ModelSpec(space, _pack(space, hp.matrix), interaction_picture=True,
+        return ModelSpec(space, hp, interaction_picture=True,
                          kind="parametric_pump", params=params)
     nop = number_operator(space, 0)
     rot = RotatingTerm(
-        operator=_pack(space, ((1j * gain * np.exp(1j * phase)) * ad2).matrix),
+        operator=(1j * gain * np.exp(1j * phase)) * ad2,
         frequency=-2.0 * omega,
     )
-    return ModelSpec(space, _pack(space, (omega * nop).matrix), rotating_terms=(rot,),
+    return ModelSpec(space, omega * nop, rotating_terms=(rot,),
                      interaction_picture=False, kind="parametric_pump", params=params)
 
 
@@ -286,7 +286,7 @@ def h_chi2_displaced_pump(space: SpaceDescriptor, kappa: float, beta: complex) -
     half = (0.5j * kappa) * ((complex(beta) * ad2) + (b @ ad2))
     H = half + half.dag()
     return ModelSpec(
-        space, _pack(space, H.matrix), interaction_picture=True,
+        space, H, interaction_picture=True,
         kind="chi2_displaced_pump", params={"kappa": kappa, "beta": complex(beta)},
     )
 
@@ -311,7 +311,7 @@ def dpo_model(space: SpaceDescriptor, kappa: float, E0: float,
     x = (0.5 * kappa) * (b @ ad2) + E0 * b.dag()
     H = 1j * x - 1j * x.dag()
     return ModelSpec(
-        space, _pack(space, H.matrix),
+        space, H,
         dissipators=((a, float(gamma_a)), (b, float(gamma_b))),
         interaction_picture=True,
         kind="dpo",
