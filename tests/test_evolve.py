@@ -252,18 +252,27 @@ class TestSteadyState:
             with pytest.raises(AmbiguityError):
                 evolve.steady_state(model, method=method)
 
-    @pytest.mark.parametrize("method", STEADY_ROUTES)
+    @pytest.mark.parametrize("method", STEADY_ROUTES + ["ilu"])
     def test_traceless_null_vector_detected(self, method):
         # sigma_x dephasing keeps sigma_x (x) |0><0| steady as well as the
         # trace-one state; that second null vector is traceless and lives in
-        # a sector without populations
+        # a sector without populations. "ilu" runs the ILU sector check of
+        # "auto" alone, without the population solve and its probe
         space = fock.make_space([2, 30])
         a = fock.annihilation(space, 0)
         model = models.ModelSpec(space, 0.3 * fock.number_operator(space, 1),
                                  dissipators=((a + a.dag(), 0.5),
                                               (fock.annihilation(space, 1), 0.7)))
+        if method != "ilu":
+            with pytest.raises(AmbiguityError):
+                evolve.steady_state(model, method=method)
+            return
+        d = space.total_dim
+        L = evolve.liouvillian(model)
         with pytest.raises(AmbiguityError):
-            evolve.steady_state(model, method=method)
+            for block in fock.sectors(L)[1:]:
+                n, m = divmod(int(block[0]), d)
+                evolve._require_nonsingular(L, block, d, closed=m * d + n in block)
 
     def test_population_degenerate_null_space_detected(self):
         # |1> decays to |0> and to |2>, and nothing leaves either: both
@@ -308,10 +317,18 @@ class TestSteadyState:
         assert Lr.dtype == np.float64
         assert abs(Lr - Lc.real).max() == 0.0
 
-    @pytest.mark.parametrize("method", ["auto"])
+    @pytest.mark.parametrize("method", ["auto", "ilu"])
     def test_steady_state_exactly_hermitian(self, method):
-        rho = evolve.steady_state(_dpo((8, 6)), method=method).data
-        assert np.array_equal(rho, rho.conj().T)
+        # "ilu" takes the solution and the probe of the population solve
+        # before steady_state symmetrizes: the real basis makes them hermitian
+        model = _dpo((8, 6))
+        if method == "ilu":
+            L = evolve.liouvillian(model)
+            rhos = evolve._steady_ilu(L, fock.sectors(L)[0], model.space.total_dim)
+        else:
+            rhos = [evolve.steady_state(model, method=method).data]
+        for rho in rhos:
+            assert np.array_equal(rho, rho.conj().T)
 
     def test_one_nonsingularity_solve_per_mirror_pair(self, monkeypatch):
         # number-conserving: the sectors are the 11 coherence orders n - m,
