@@ -362,14 +362,14 @@ def run_soliton(p: dict):
     steps = p["steps"] or int(np.ceil(t_final / (grid.dx ** 2 / (np.pi * p["omega1_dblprime"]))))
     profile = soliton.classical_soliton_profile(p["n0"], 0.0, 0.0, fiber, 0.0)
 
-    snap_times = np.linspace(0.0, t_final, max(2, p["snapshots"]))
+    snap_times = np.linspace(0.0, t_final, p["snapshots"])
+    outs = [profile] + soliton.split_step_snapshots(
+        profile, fiber, snap_times[1:],
+        [max(1, int(round(steps * (st / t_final)))) for st in snap_times[1:]])
     columns = [("x", "m", list(grid.x))]
-    peaks = []
-    for i, st in enumerate(snap_times):
-        sub_steps = max(1, int(round(steps * (st / t_final)))) if st > 0 else 0
-        out = soliton.split_step_nlse(profile, fiber, st, sub_steps) if sub_steps else profile
-        columns.append((f"abs_psi_t{i}", "1/sqrt(m)", list(np.abs(out.values))))
-        peaks.append(out.peak())
+    columns += [(f"abs_psi_t{i}", "1/sqrt(m)", list(np.abs(out.values)))
+                for i, out in enumerate(outs)]
+    peaks = [out.peak() for out in outs]
     profile_table = Table("soliton_profile", columns)
     mf_times = np.linspace(0.0, 4.0 / max(fiber.g3 ** 2 * p["n0"] ** 1.5, 1e-12), 9)
     mf_peaks = [soliton.mean_field(np.sqrt(float(p["n0"])), fiber, None, t).peak()
@@ -480,8 +480,10 @@ TABLE = {
         # steps = 0 takes the step count from the dx^2/(pi w'') guidance
         dict(n0=25, omega1_dblprime=2.0, g3=-0.05, grid_widths=24.0, grid_points=1024,
              periods=1.0, steps=0, snapshots=5),
-        lambda p: p["n0"] >= 2 and p["grid_widths"] >= 12 and p["g3"] < 0,
-        "soliton needs n0 >= 2, g3 < 0 and a grid of >= 12 soliton widths", run_soliton),
+        lambda p: (p["n0"] >= 2 and p["grid_widths"] >= 12 and p["g3"] < 0
+                   and p["periods"] > 0 and p["steps"] >= 0 and p["snapshots"] >= 2),
+        "soliton needs n0 >= 2, g3 < 0, a grid of >= 12 soliton widths, periods > 0, "
+        "steps >= 0 and snapshots >= 2", run_soliton),
     "validate": Command({}, lambda p: True, "", run_validate),
 }
 

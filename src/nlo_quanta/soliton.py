@@ -8,6 +8,10 @@ tracked. Units use hbar = 1. The governing classical equation is
     i dpsi/dt = -(w''/2) d^2psi/dx^2 + 2 g3 |psi|^2 psi,
 
 with anomalous dispersion w'' > 0 and attractive g3 < 0 for bound solitons.
+
+Split-step snapshots march together: one row per distinct step dt, all rows
+advanced by one batched ``scipy.fft`` call per substep, each snapshot copied
+off its row at its own step count and checked for finiteness once.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import ContractError, NumericsError, ParameterError, TruncationError
 
@@ -46,7 +51,7 @@ class SpatialGrid:
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
+        return 2.0 * np.pi * fft.fftfreq(self.points, d=self.dx)
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,7 @@ def hartree_residual(n: int, p: FiberParams) -> float:
     prof = hartree_profile(n, 0.0, 0.0, p, 0.0)
     h = prof.values
     k = p.grid.wavenumbers
-    lap = np.fft.ifft(-(k ** 2) * np.fft.fft(h))
+    lap = fft.ifft(-(k ** 2) * fft.fft(h))
     rhs = -(p.omega1_dblprime / 2.0) * lap + 2.0 * p.g3 * (n - 1) * np.abs(h) ** 2 * h
     lhs = -p.phase_rate(n) * h  # i dh/dt for h ~ e^{i mu t}
     num = np.linalg.norm(lhs - rhs)
@@ -197,29 +202,78 @@ def split_step_nlse(psi0: FieldProfile, p: FiberParams, t_final: float,
     Half kinetic step in k-space, full nonlinear phase in x-space, half
     kinetic step; each substep is exactly unitary so the discrete norm is
     conserved to rounding. Accuracy guidance: dt <= dx^2 / (pi w'') keeps
-    the splitting error below the dispersive phase per step.
+    the splitting error below the dispersive phase per step. This is one
+    row of :func:`split_step_snapshots`; the result is checked for
+    finiteness once, after the last step (a non-finite sample stays
+    non-finite through every later substep).
     """
-    if n_steps < 1:
+    return split_step_snapshots(psi0, p, [t_final], [n_steps])[0]
+
+
+def split_step_snapshots(psi0: FieldProfile, p: FiberParams, times,
+                         n_steps) -> list[FieldProfile]:
+    """Profiles ``split_step_nlse(psi0, p, times[i], n_steps[i])`` for every
+    i, bit for bit, from one batched march.
+
+    Snapshots whose step dt = times[i] / n_steps[i] has the same float bits
+    share one row of a (rows, points) array, so each distinct dt is marched
+    once, up to the largest step count that uses it. Rows are ordered by
+    that count, longest first, so the rows still running are a prefix and
+    every substep makes one ``scipy.fft`` call on it. Each snapshot is
+    copied off its row at its own step count; NumericsError is raised for
+    the first snapshot (in input order) holding a non-finite sample.
+    """
+    if len(times) != len(n_steps):
+        raise ContractError("times and n_steps must have the same length")
+    if any(n < 1 for n in n_steps):
         raise ParameterError("n_steps must be >= 1")
-    dt = t_final / n_steps
+    dts = [t / n for t, n in zip(times, n_steps)]
+    keys = [float(dt).hex() for dt in dts]  # exact float bits
+    span = {}  # dt bits -> steps its row runs
+    for key, n in zip(keys, n_steps):
+        span[key] = max(span.get(key, 0), n)
+    order = sorted(span, key=span.get, reverse=True)
+    row_of = {key: row for row, key in enumerate(order)}
+    dt_of = dict(zip(keys, dts))
+    row_dt = [dt_of[key] for key in order]
+    row_steps = [span[key] for key in order]
+
     k = psi0.grid.wavenumbers
-    half_kinetic = np.exp(-0.5j * dt * (p.omega1_dblprime / 2.0) * k ** 2)
-    psi = psi0.values.astype(complex)
-    for _ in range(n_steps):
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
-        psi = psi * np.exp(-2j * p.g3 * dt * np.abs(psi) ** 2)
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
-        if not np.isfinite(psi).all():
+    # each row's constants come from its scalar dt, as a lone row's would,
+    # so a row's bits do not depend on which other rows share the march
+    half_kinetic = np.array([np.exp(-0.5j * dt * (p.omega1_dblprime / 2.0) * k ** 2)
+                             for dt in row_dt])
+    phase = np.array([[-2j * p.g3 * dt] for dt in row_dt])
+    taken = {}  # step count -> [(snapshot index, row)]
+    for i, (key, n) in enumerate(zip(keys, n_steps)):
+        taken.setdefault(n, []).append((i, row_of[key]))
+
+    psi = np.tile(psi0.values.astype(complex), (len(row_dt), 1))
+    snaps = [None] * len(dts)
+    rows = len(row_dt)
+    for step in range(1, max(row_steps, default=0) + 1):
+        while row_steps[rows - 1] < step:
+            rows -= 1
+        psi = fft.ifft(half_kinetic[:rows] * fft.fft(psi[:rows]))
+        psi = psi * np.exp(phase[:rows] * np.abs(psi) ** 2)
+        psi = fft.ifft(half_kinetic[:rows] * fft.fft(psi))
+        for i, row in taken.get(step, ()):
+            snaps[i] = psi[row].copy()
+
+    out = []
+    for t, n, dt, values in zip(times, n_steps, dts, snaps):
+        if not np.isfinite(values).all():
             raise NumericsError(
                 f"split-step produced non-finite values (dt={dt:.3e}, dx={psi0.grid.dx:.3e})")
-    return FieldProfile(psi0.grid, psi, meta=(("t", t_final), ("steps", n_steps)))
+        out.append(FieldProfile(psi0.grid, values, meta=(("t", t), ("steps", n))))
+    return out
 
 
 def nlse_energy(profile: FieldProfile, p: FiberParams) -> float:
     """Discrete NLSE energy functional int [ (w''/2)|psi_x|^2 + g3 |psi|^4 ] dx,
     conserved by the exact flow."""
     k = profile.grid.wavenumbers
-    psi_x = np.fft.ifft(1j * k * np.fft.fft(profile.values))
+    psi_x = fft.ifft(1j * k * fft.fft(profile.values))
     dens = 0.5 * p.omega1_dblprime * np.abs(psi_x) ** 2 + p.g3 * np.abs(profile.values) ** 4
     return float(np.sum(dens.real) * profile.grid.dx)
 

@@ -69,6 +69,9 @@ class TestConfigValidation:
         ("dispersion", "k_min", "0"),
         ("downconv", "k0", "0"),
         ("soliton", "g3", "0.05"),
+        ("soliton", "steps", "-3"),
+        ("soliton", "periods", "0"),
+        ("soliton", "snapshots", "1"),
     ])
     def test_bad_parameter_value_rejected(self, tmp_path, command, key, value):
         cfg = tmp_path / "bad.ini"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlo_quanta import soliton
-from nlo_quanta.errors import ParameterError, TruncationError
+from nlo_quanta.errors import NumericsError, ParameterError, TruncationError
 
 
 def _fiber(n0=25, g3=-0.05, widths=24.0, points=1024):
@@ -156,6 +156,96 @@ class TestSplitStep:
         dev = np.sqrt(np.sum((np.abs(out.values) - np.abs(wrong.values)) ** 2)
                       * p.grid.dx)
         assert dev > 1e-2
+
+
+def _reference_split_step(psi0, p, t_final, n_steps):
+    """The one-row split-step loop on numpy.fft, finiteness checked every step."""
+    dt = t_final / n_steps
+    k = psi0.grid.wavenumbers
+    half_kinetic = np.exp(-0.5j * dt * (p.omega1_dblprime / 2.0) * k ** 2)
+    psi = psi0.values.astype(complex)
+    for _ in range(n_steps):
+        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        psi = psi * np.exp(-2j * p.g3 * dt * np.abs(psi) ** 2)
+        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        if not np.isfinite(psi).all():
+            raise NumericsError(
+                f"split-step produced non-finite values (dt={dt:.3e}, dx={psi0.grid.dx:.3e})")
+    return psi
+
+
+def _cli_snapshots(p, n0, periods=1.0, snapshots=5):
+    """Snapshot times and step counts of the soliton command at its defaults."""
+    t_final = periods * p.soliton_period(n0)
+    steps = int(np.ceil(t_final / (p.grid.dx ** 2 / (np.pi * p.omega1_dblprime))))
+    times = np.linspace(0.0, t_final, snapshots)[1:]
+    return times, [max(1, int(round(steps * (t / t_final)))) for t in times]
+
+
+class TestBatchedSplitStep:
+    """split_step_snapshots and split_step_nlse against the reference loop, bit for bit."""
+
+    def _assert_bit_identical(self, psi0, p, times, n_steps, single=None):
+        """Every batched output, and split_step_nlse at the indices ``single``
+        (default: all), equals the reference loop's float64 view."""
+        batched = soliton.split_step_snapshots(psi0, p, times, n_steps)
+        assert len(batched) == len(times)
+        for i, (t, n, out) in enumerate(zip(times, n_steps, batched)):
+            ref = _reference_split_step(psi0, p, t, n).view(float)
+            assert np.array_equal(out.values.view(float), ref)
+            assert out.meta_dict() == {"t": t, "steps": n}
+            if single is None or i in single:
+                one = soliton.split_step_nlse(psi0, p, t, n)
+                assert np.array_equal(one.values.view(float), ref)
+
+    def test_default_cli_snapshots(self):
+        n0 = 25
+        p = _fiber(n0)
+        prof = soliton.classical_soliton_profile(n0, 0.0, 0.0, p, 0.0)
+        times, n_steps = _cli_snapshots(p, n0)
+        dts = [t / n for t, n in zip(times, n_steps)]
+        assert dts[0] == dts[1] and len(set(dts)) == 3  # snapshots 1 and 2 share a row
+        self._assert_bit_identical(prof, p, times, n_steps, single=(1,))
+
+    def test_many_distinct_steps(self):
+        # more rows than pocketfft's SIMD width, so its multi-row path runs
+        n0 = 25
+        p = _fiber(n0)
+        prof = soliton.classical_soliton_profile(n0, 0.2, 1.0, p, 0.0)
+        times = [0.013 * (i + 1) for i in range(11)] + [0.026, 0.013]
+        n_steps = [3 + (5 * i) % 11 for i in range(11)] + [20, 6]
+        assert len({t / n for t, n in zip(times, n_steps)}) >= 9
+        self._assert_bit_identical(prof, p, times, n_steps)
+
+    def test_negative_time(self):
+        n0 = 25
+        p = _fiber(n0, points=256)
+        prof = soliton.classical_soliton_profile(n0, 0.0, 0.0, p, 0.0)
+        forward = soliton.split_step_nlse(prof, p, 0.3, 400)
+        self._assert_bit_identical(forward, p, [-0.3, -0.15, 0.3], [400, 200, 50])
+
+    def test_overflow_raises_numerics_error(self):
+        n0 = 25
+        p = _fiber(n0, points=128)
+        base = soliton.classical_soliton_profile(n0, 0.0, 0.0, p, 0.0)
+        huge = soliton.FieldProfile(p.grid, 1e160 * base.values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError) as ref:
+                _reference_split_step(huge, p, 0.1, 5)
+            with pytest.raises(NumericsError) as one:
+                soliton.split_step_nlse(huge, p, 0.1, 5)
+            with pytest.raises(NumericsError) as batched:
+                soliton.split_step_snapshots(huge, p, [0.1, 0.2], [5, 4])
+        assert str(one.value) == str(batched.value) == str(ref.value)
+
+    @pytest.mark.parametrize("n_steps", [[0], [5, 0], [3, -2, 4]])
+    def test_step_count_below_one_rejected(self, n_steps):
+        p = _fiber(25, points=128)
+        prof = soliton.classical_soliton_profile(25, 0.0, 0.0, p, 0.0)
+        with pytest.raises(ParameterError):
+            soliton.split_step_snapshots(prof, p, [0.1] * len(n_steps), n_steps)
+        with pytest.raises(ParameterError):
+            soliton.split_step_nlse(prof, p, 0.1, min(n_steps))
 
 
 class TestMeanField:
