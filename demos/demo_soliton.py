@@ -13,7 +13,7 @@ N0 = 25
 G3 = -0.05
 width = soliton.FWHM_FACTOR * 2.0 / (abs(G3) * (N0 - 1))
 grid = soliton.SpatialGrid(extent=24 * width, points=1024)
-fiber = soliton.FiberParams(omega1_dblprime=2.0, g3=G3, v1=0.0, grid=grid)
+fiber = soliton.FiberParams(omega1_dblprime=2.0, g3=G3, grid=grid)
 
 print("=== Hartree soliton family ===")
 print(f"{'n':>4} {'sech scale w':>13} {'FWHM':>8} {'phase rate':>11}")
@@ -41,7 +41,7 @@ alpha = np.sqrt(float(N0))
 print(f"alpha = sqrt({N0}); short-time criterion g3^2 t n0^1.5 << 1")
 print(f"{'t':>6} {'dephasing param':>16} {'peak |<Psi>|':>13}")
 for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-    mf = soliton.mean_field(alpha, fiber, None, t)
+    mf = soliton.mean_field(alpha, fiber, t)
     meta = mf.meta_dict()
     print(f"{t:6.2f} {meta['dephasing_parameter']:16.3f} {mf.peak():13.5f}")
 print("phase diffusion: the classical soliton shape survives, the mean decays")

@@ -175,9 +175,12 @@ def build_config(command: str, raw: dict, seed: int, threads: int, fast: bool) -
     for key, text in raw.items():
         cast = type(params[key])
         try:
-            params[key] = cast(float(text)) if cast is int else cast(text)
+            value = float(text)
+            if not np.isfinite(value) or (cast is int and not value.is_integer()):
+                raise ValueError(f"not a finite {cast.__name__}")
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})")
+        params[key] = cast(value)
     if not entry.rule(params):
         raise ConfigError(entry.message)
     return ScenarioConfig(command, params, seed=seed, threads=threads, fast=fast)
@@ -356,10 +359,10 @@ def run_soliton(p: dict):
     g3 = p["g3"]
     width = soliton.FWHM_FACTOR * p["omega1_dblprime"] / (abs(g3) * (p["n0"] - 1))
     grid = soliton.SpatialGrid(extent=p["grid_widths"] * width, points=p["grid_points"])
-    fiber = soliton.FiberParams(p["omega1_dblprime"], g3, 0.0, grid)
+    fiber = soliton.FiberParams(p["omega1_dblprime"], g3, grid)
     period = fiber.soliton_period(p["n0"])
     t_final = p["periods"] * period
-    steps = p["steps"] or int(np.ceil(t_final / (grid.dx ** 2 / (np.pi * p["omega1_dblprime"]))))
+    steps = p["steps"] or fiber.guided_steps(t_final)
     profile = soliton.classical_soliton_profile(p["n0"], 0.0, 0.0, fiber, 0.0)
 
     snap_times = np.linspace(0.0, t_final, p["snapshots"])
@@ -372,7 +375,7 @@ def run_soliton(p: dict):
     peaks = [out.peak() for out in outs]
     profile_table = Table("soliton_profile", columns)
     mf_times = np.linspace(0.0, 4.0 / max(fiber.g3 ** 2 * p["n0"] ** 1.5, 1e-12), 9)
-    mf_peaks = [soliton.mean_field(np.sqrt(float(p["n0"])), fiber, None, t).peak()
+    mf_peaks = [soliton.mean_field(np.sqrt(float(p["n0"])), fiber, t).peak()
                 for t in mf_times]
     peak_table = Table("soliton_peak", [
         ("t", "s", list(snap_times)),
@@ -477,7 +480,7 @@ TABLE = {
         lambda p: p["k0"] > 0 and p["dz_max"] > 0,
         "downconv needs k0 > 0 and dz_max > 0", run_downconv),
     "soliton": Command(
-        # steps = 0 takes the step count from the dx^2/(pi w'') guidance
+        # steps = 0 takes the step count from FiberParams.guided_steps
         dict(n0=25, omega1_dblprime=2.0, g3=-0.05, grid_widths=24.0, grid_points=1024,
              periods=1.0, steps=0, snapshots=5),
         lambda p: (p["n0"] >= 2 and p["grid_widths"] >= 12 and p["g3"] < 0
@@ -531,9 +534,10 @@ def main(argv=None) -> int:
 
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("NLO_QUANTA_THREADS", "1"))
+        env = os.environ.get("NLO_QUANTA_THREADS", "1")
+        threads = int(env) if env.isdecimal() else 0
     if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
+        print("error: --threads and NLO_QUANTA_THREADS must be integers >= 1", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

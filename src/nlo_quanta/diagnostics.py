@@ -1,7 +1,7 @@
 """Nonclassicality, squeezing, and entanglement criteria, plus the Husimi Q.
 
 Every criterion returns a :class:`CriterionReport`; a verdict is issued only
-when the value lies strictly beyond its threshold by more than
+when the value lies strictly below its threshold by more than
 ``VERDICT_SLACK`` (1e-12), so boundary states (vacuum, coherent) report
 ``inconclusive``.
 
@@ -41,9 +41,9 @@ class CriterionReport:
     """Outcome of a nonclassicality/entanglement test.
 
     ``verdict`` is the criterion's positive label ("nonclassical",
-    "entangled") when ``value`` is strictly beyond ``threshold`` in the
-    criterion's direction, else "inconclusive". ``margin`` is how far the
-    value sits on the conclusive side (negative when inconclusive).
+    "entangled") when ``value`` is strictly below ``threshold``, else
+    "inconclusive". ``margin`` is threshold - value, how far the value sits
+    on the conclusive side (negative when inconclusive).
     """
 
     name: str
@@ -69,11 +69,8 @@ class CriterionReport:
 
 
 def _report(name: str, value: float, threshold: float, label: str,
-            direction: str = "below", extras: dict | None = None) -> CriterionReport:
-    if direction == "below":
-        margin = threshold - value
-    else:
-        margin = value - threshold
+            extras: dict | None = None) -> CriterionReport:
+    margin = threshold - value
     verdict = label if margin > VERDICT_SLACK else "inconclusive"
     return CriterionReport(name, float(value), float(threshold), verdict, float(margin),
                            tuple(sorted((extras or {}).items())))

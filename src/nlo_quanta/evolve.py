@@ -41,7 +41,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .errors import AmbiguityError, ContractError, NumericsError
-from .fock import HERMITICITY_TOL, FieldOperator, QuantumState, sectors
+from .fock import HERMITICITY_TOL, NEGATIVE_EIGENVALUE_FLOOR, FieldOperator, QuantumState, sectors
 from .models import ModelSpec
 
 DENSE_EVOLVE_DIM = 512
@@ -169,13 +169,17 @@ def _check_density_sample(space, m, t, tail):
         raise NumericsError(f"hermiticity drift {herm:.2e} at t={t} exceeds 1e-8")
     m = 0.5 * (m + m.conj().T)
     m = m / np.trace(m).real
+    return QuantumState(space, "density", _clip_negative_eigenvalues(m), tail)
+
+
+def _clip_negative_eigenvalues(m):
+    """``m`` with eigenvalues <= -NEGATIVE_EIGENVALUE_FLOOR (noise) clipped to 0, renormalized."""
     w, v = np.linalg.eigh(m)
-    if w.min() <= -1e-10:
-        # integration noise only; anything past the density tolerance is clipped
+    if w.min() <= -NEGATIVE_EIGENVALUE_FLOOR:
         w = np.clip(w, 0.0, None)
         m = (v * w) @ v.conj().T
         m = m / np.trace(m).real
-    return QuantumState(space, "density", m, tail)
+    return m
 
 
 def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionResult:
@@ -447,9 +451,4 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
         probe = probe / np.trace(probe).real
         if float(np.abs(probe - rho).max()) > 1e-6:
             raise AmbiguityError("Liouvillian null space appears degenerate (>= 2)")
-    w, v = np.linalg.eigh(rho)
-    if w.min() <= -1e-10:
-        w = np.clip(w, 0.0, None)
-        rho = (v * w) @ v.conj().T
-        rho = rho / np.trace(rho).real
-    return QuantumState(model.space, "density", rho)
+    return QuantumState(model.space, "density", _clip_negative_eigenvalues(rho))

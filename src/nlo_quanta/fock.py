@@ -34,6 +34,7 @@ SPARSE_THRESHOLD = 256
 
 HERMITICITY_TOL = 1e-12
 COHERENT_TAIL_TOL = 1e-10
+NEGATIVE_EIGENVALUE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,8 @@ class FieldOperator:
     def hermiticity_defect(self) -> float:
         return (self - self.dag()).max_abs()
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_defect() < tol
+    def is_hermitian(self) -> bool:
+        return self.hermiticity_defect() < HERMITICITY_TOL
 
     def __matmul__(self, other: "FieldOperator") -> "FieldOperator":
         if other.space != self.space:
@@ -217,7 +218,7 @@ class QuantumState:
             if herm >= HERMITICITY_TOL:
                 raise ContractError(f"density hermiticity defect {herm} beyond 1e-12")
             evmin = float(np.linalg.eigvalsh(self.data).min())
-            if evmin <= -1e-10:
+            if evmin <= -NEGATIVE_EIGENVALUE_FLOOR:
                 raise ContractError(f"density has negative eigenvalue {evmin}")
         else:
             raise ContractError(f"unknown state kind {self.kind!r}")
@@ -430,19 +431,17 @@ def thermal_state(space: SpaceDescriptor, mean_occupations: Sequence[float]) -> 
     return QuantumState(space, "density", rho, tail_mass=tail_total)
 
 
-def apply_operator(op: FieldOperator, state: QuantumState, renormalize: bool = True) -> QuantumState:
-    """Apply an operator to a state (U|psi> or U rho U-dag)."""
+def apply_operator(op: FieldOperator, state: QuantumState) -> QuantumState:
+    """Apply an operator to a state (U|psi> or U rho U-dag), renormalized."""
     if op.space != state.space:
         raise ContractError("operator and state live on different spaces")
     if state.is_pure:
         vec = op.matrix @ state.data
-        if renormalize:
-            vec = vec / np.linalg.norm(vec)
+        vec = vec / np.linalg.norm(vec)
         return QuantumState(state.space, "pure", np.asarray(vec).ravel(), state.tail_mass)
     m = op.matrix @ state.data @ op.matrix.conj().T
     m = _as_dense(m)
-    if renormalize:
-        m = m / np.trace(m).real
+    m = m / np.trace(m).real
     return QuantumState(state.space, "density", 0.5 * (m + m.conj().T), state.tail_mass)
 
 

@@ -153,17 +153,16 @@ class DispersionCoeffs:
     carrier: beta^(1)(w) ~ beta_nu + w beta_nu' + w^2 beta_nu''/2.
 
     Units: beta_nu in 1/(F/m) = m/F, derivatives carry the matching powers
-    of seconds; mu0 defaults to the vacuum permeability.
+    of seconds. The medium is nonmagnetic: mu0 is the vacuum ``MU0``.
     """
 
     beta_nu: float
     beta_nu_prime: float = 0.0
     beta_nu_dblprime: float = 0.0
-    mu0: float = MU0
 
     def __post_init__(self):
-        if self.beta_nu <= 0 or self.mu0 <= 0:
-            raise ParameterError("beta_nu and mu0 must be positive")
+        if self.beta_nu <= 0:
+            raise ParameterError("beta_nu must be positive")
 
     def beta1(self, omega: float) -> float:
         return self.beta_nu + omega * self.beta_nu_prime \
@@ -173,7 +172,7 @@ class DispersionCoeffs:
         return self.beta_nu_prime + omega * self.beta_nu_dblprime
 
     def denominator(self, k: float) -> float:
-        return self.mu0 - 0.5 * self.beta_nu_dblprime * k ** 2
+        return MU0 - 0.5 * self.beta_nu_dblprime * k ** 2
 
 
 def dispersion_omega(k: float, c: DispersionCoeffs) -> tuple[float, float]:
@@ -204,7 +203,7 @@ def dispersion_residual(k: float, omega: float, c: DispersionCoeffs, sign: int) 
     """
     rhs = k ** 2 * (c.beta_nu + sign * omega * c.beta_nu_prime
                     + 0.5 * omega ** 2 * c.beta_nu_dblprime)
-    lhs = c.mu0 * omega ** 2
+    lhs = MU0 * omega ** 2
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return float(abs(lhs - rhs) / scale)
 
@@ -220,7 +219,7 @@ def group_velocity(k: float, c: DispersionCoeffs) -> float:
 
 
 def _group_velocity_at(k: float, w_plus: float, c: DispersionCoeffs) -> float:
-    denom = c.mu0 * w_plus - 0.5 * k ** 2 * c.beta1_deriv(w_plus)
+    denom = MU0 * w_plus - 0.5 * k ** 2 * c.beta1_deriv(w_plus)
     if denom <= 0:
         raise DomainError("group-velocity denominator lost positivity")
     return float(k * c.beta1(w_plus) / denom)

@@ -43,9 +43,8 @@ class RotatingTerm:
 class ModelSpec:
     """A Hamiltonian with optional rotating terms, dissipators, and charges.
 
-    ``interaction_picture`` records whether the free-field part has been
-    removed (slowly-varying-operator convention), so downstream diagnostics
-    can interpret phases correctly.
+    ``kind`` and ``params`` name the constructor and its arguments; whether
+    the free-field part is removed (interaction picture) is in its docstring.
     """
 
     space: SpaceDescriptor
@@ -53,7 +52,6 @@ class ModelSpec:
     rotating_terms: tuple[RotatingTerm, ...] = ()
     dissipators: tuple[tuple[FieldOperator, float], ...] = ()
     charges: dict = field(default_factory=dict)
-    interaction_picture: bool = False
     kind: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -254,15 +252,14 @@ def h_parametric_classical_pump(
     hp = (1j * gain) * (np.exp(1j * phase) * ad2 - np.exp(-1j * phase) * (ad2.dag()))
     params = {"kappa": kappa, "n_pump": np_pump, "phi_p": phase, "omega": omega}
     if rotating_frame:
-        return ModelSpec(space, hp, interaction_picture=True,
-                         kind="parametric_pump", params=params)
+        return ModelSpec(space, hp, kind="parametric_pump", params=params)
     nop = number_operator(space, 0)
     rot = RotatingTerm(
         operator=(1j * gain * np.exp(1j * phase)) * ad2,
         frequency=-2.0 * omega,
     )
     return ModelSpec(space, omega * nop, rotating_terms=(rot,),
-                     interaction_picture=False, kind="parametric_pump", params=params)
+                     kind="parametric_pump", params=params)
 
 
 def h_chi2_displaced_pump(space: SpaceDescriptor, kappa: float, beta: complex) -> ModelSpec:
@@ -286,8 +283,7 @@ def h_chi2_displaced_pump(space: SpaceDescriptor, kappa: float, beta: complex) -
     half = (0.5j * kappa) * ((complex(beta) * ad2) + (b @ ad2))
     H = half + half.dag()
     return ModelSpec(
-        space, H, interaction_picture=True,
-        kind="chi2_displaced_pump", params={"kappa": kappa, "beta": complex(beta)},
+        space, H, kind="chi2_displaced_pump", params={"kappa": kappa, "beta": complex(beta)},
     )
 
 
@@ -313,7 +309,6 @@ def dpo_model(space: SpaceDescriptor, kappa: float, E0: float,
     return ModelSpec(
         space, H,
         dissipators=((a, float(gamma_a)), (b, float(gamma_b))),
-        interaction_picture=True,
         kind="dpo",
         params={"kappa": kappa, "E0": E0, "gamma_a": gamma_a, "gamma_b": gamma_b},
     )

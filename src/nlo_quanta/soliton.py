@@ -57,12 +57,10 @@ class SpatialGrid:
 @dataclass(frozen=True)
 class FiberParams:
     """Moving-frame fiber model: dispersion omega1_dblprime (> 0), cubic
-    coefficient g3 (< 0 for bound solitons), group velocity v1, and the
-    spatial grid."""
+    coefficient g3 (< 0 for bound solitons), and the spatial grid."""
 
     omega1_dblprime: float
     g3: float
-    v1: float = 0.0
     grid: SpatialGrid = field(default_factory=lambda: SpatialGrid(48.0, 1024))
 
     def __post_init__(self):
@@ -90,6 +88,10 @@ class FiberParams:
     def soliton_period(self, n: int) -> float:
         """Quarter phase cycle pi/(2 mu_n), the conventional soliton period."""
         return np.pi / (2.0 * self.phase_rate(n))
+
+    def guided_steps(self, t: float) -> int:
+        """Split-step count to time t at the accuracy guidance dt <= dx^2 / (pi w'')."""
+        return int(np.ceil(t / (self.grid.dx ** 2 / (np.pi * self.omega1_dblprime))))
 
 
 @dataclass(frozen=True)
@@ -201,11 +203,11 @@ def split_step_nlse(psi0: FieldProfile, p: FiberParams, t_final: float,
 
     Half kinetic step in k-space, full nonlinear phase in x-space, half
     kinetic step; each substep is exactly unitary so the discrete norm is
-    conserved to rounding. Accuracy guidance: dt <= dx^2 / (pi w'') keeps
-    the splitting error below the dispersive phase per step. This is one
-    row of :func:`split_step_snapshots`; the result is checked for
-    finiteness once, after the last step (a non-finite sample stays
-    non-finite through every later substep).
+    conserved to rounding. Accuracy guidance (:meth:`FiberParams.guided_steps`):
+    dt <= dx^2 / (pi w'') keeps the splitting error below the dispersive phase
+    per step. This is one row of :func:`split_step_snapshots`; the result is
+    checked for finiteness once, after the last step (a non-finite sample
+    stays non-finite through every later substep).
     """
     return split_step_snapshots(psi0, p, [t_final], [n_steps])[0]
 
@@ -289,13 +291,13 @@ def _profile_overlap(a: np.ndarray, b: np.ndarray, dx: float) -> complex:
     return complex(np.vdot(a, b) * dx)
 
 
-def mean_field(alpha: complex, p: FiberParams, x_grid=None, t: float = 0.0) -> FieldProfile:
+def mean_field(alpha: complex, p: FiberParams, t: float = 0.0) -> FieldProfile:
     """Mean field of a coherent superposition of n-photon Hartree solitons:
 
         <Psi(x)> = alpha e^{-|alpha|^2} sum_n (|alpha|^{2n}/n!)
                    h_{n+1}(x, t) <h_n|h_{n+1}>^n.
 
-    Overlaps are grid quadratures. Terms with n beyond
+    Overlaps are quadratures on ``p.grid``. Terms with n beyond
     n0 +/- 10 sqrt(n0) (n0 = |alpha|^2 >= 4) are dropped; the discarded
     Poisson weight is reported as ``tail_bound`` in the profile metadata,
     along with the dimensionless dephasing parameter g3^2 t n0^{3/2}
@@ -306,10 +308,6 @@ def mean_field(alpha: complex, p: FiberParams, x_grid=None, t: float = 0.0) -> F
     n0 = abs(alpha) ** 2
     if n0 < 4.0:
         raise ParameterError("mean_field needs |alpha|^2 >= 4 so n >= 2 terms dominate")
-    grid = p.grid if x_grid is None else x_grid
-    if grid is not p.grid and not isinstance(grid, SpatialGrid):
-        raise ContractError("x_grid must be a SpatialGrid")
-    pg = FiberParams(p.omega1_dblprime, p.g3, p.v1, grid)
 
     half_width = SERIES_WINDOW_SIGMAS * np.sqrt(n0)
     n_lo = max(2, int(np.floor(n0 - half_width)))
@@ -325,13 +323,13 @@ def mean_field(alpha: complex, p: FiberParams, x_grid=None, t: float = 0.0) -> F
 
     def prof(n):
         if n not in profiles:
-            profiles[n] = hartree_profile(n, 0.0, 0.0, pg, t).values
+            profiles[n] = hartree_profile(n, 0.0, 0.0, p, t).values
         return profiles[n]
 
-    acc = np.zeros(grid.points, dtype=complex)
+    acc = np.zeros(p.grid.points, dtype=complex)
     for n, wgt in zip(ns, weights):
         try:
-            overlap = _profile_overlap(prof(int(n)), prof(int(n) + 1), grid.dx)
+            overlap = _profile_overlap(prof(int(n)), prof(int(n) + 1), p.grid.dx)
             acc += wgt * prof(int(n) + 1) * overlap ** int(n)
         except TruncationError:
             # far-from-n0 profiles can be too wide for the grid; their
@@ -339,7 +337,7 @@ def mean_field(alpha: complex, p: FiberParams, x_grid=None, t: float = 0.0) -> F
             tail_bound += wgt
     values = alpha * acc
     dephasing = p.g3 ** 2 * t * n0 * np.sqrt(n0)
-    return FieldProfile(grid, values, meta=(
+    return FieldProfile(p.grid, values, meta=(
         ("tail_bound", tail_bound),
         ("dephasing_parameter", float(dephasing)),
         ("dephasing_threshold", 0.1),

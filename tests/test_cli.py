@@ -72,6 +72,10 @@ class TestConfigValidation:
         ("soliton", "steps", "-3"),
         ("soliton", "periods", "0"),
         ("soliton", "snapshots", "1"),
+        ("squeeze", "points", "inf"),
+        ("squeeze", "points", "2.7"),
+        ("kerr", "alpha", "nan"),
+        ("medium", "e0_max", "inf"),
     ])
     def test_bad_parameter_value_rejected(self, tmp_path, command, key, value):
         cfg = tmp_path / "bad.ini"
@@ -79,6 +83,11 @@ class TestConfigValidation:
         out = tmp_path / "o"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
+
+    def test_integral_float_accepted_for_int_parameter(self):
+        cfg = cli.build_config("squeeze", {"points": "1e2", "n_pump": "250"}, 0, 1, False)
+        assert cfg.params["points"] == 100 and type(cfg.params["points"]) is int
+        assert cfg.hash() == "a4da5a7ca0368754"
 
     @pytest.mark.parametrize("text", [
         "n_pump = 5\n",
@@ -200,6 +209,17 @@ class TestValidateCommand:
         assert failed["details"]["error"] == "NumericsError: solver blew up"
         assert matrix["all_passed"] is False
 
+    def test_run_criterion_records_a_raising_check(self, monkeypatch):
+        def check_raises():
+            raise NumericsError("solver blew up")
+
+        monkeypatch.setitem(validation._CHECKS, 5, check_raises)
+        result = validation.run_criterion(5)
+        assert result.passed is False
+        assert result.details["error"] == "NumericsError: solver blew up"
+        assert "check_raises" in result.details["traceback"]
+        assert result.seconds > 0
+
     def test_fast_tier(self, tmp_path):
         out = tmp_path / "val"
         proc = run_cli(["validate", "--fast", "--out", str(out)])
@@ -227,3 +247,10 @@ class TestValidateCommand:
              "--out", str(out)],
             capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == cli.EXIT_OK
+
+    def test_bad_threads_env_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NLO_QUANTA_THREADS", "abc")
+        out = tmp_path / "val"
+        assert cli.main(["validate", "--fast", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "NLO_QUANTA_THREADS" in capsys.readouterr().err
+        assert not out.exists()

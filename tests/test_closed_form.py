@@ -99,7 +99,7 @@ class TestPumpNoise:
         b = fock.annihilation(space, 1)
         half = (0.5 * kappa) * (b @ (a.dag() @ a.dag()))
         h = 1j * half - 1j * half.dag()
-        model = models.ModelSpec(space, h, interaction_picture=True)
+        model = models.ModelSpec(space, h)
         psi0 = fock.coherent_state(space, [0.0, np.sqrt(n_pump)], tail_tol=1e-8)
         x2 = fock.quadrature(space, 0, np.pi / 2)
         for u in (0.6, 1.2):

@@ -134,8 +134,7 @@ class TestEvolveLindblad:
         b = fock.annihilation(space, 0)
         e0, gamma = 0.4, 0.8
         h = (1j * e0) * (b.dag() - b)
-        model = models.ModelSpec(space, h,
-                                 dissipators=((b, gamma),), interaction_picture=True)
+        model = models.ModelSpec(space, h, dissipators=((b, gamma),))
         res = evolve.evolve_lindblad(model, fock.vacuum_state(space),
                                      np.linspace(0.0, 25.0, 6))
         assert abs(fock.expectation(res.states[-1], b) - e0 / gamma) < 1e-6
@@ -175,8 +174,7 @@ def _driven_damped():
     space = fock.make_space([14])
     b = fock.annihilation(space, 0)
     h = (1j * 0.4) * (b.dag() - b)
-    return models.ModelSpec(space, h,
-                            dissipators=((b, 0.8),), interaction_picture=True)
+    return models.ModelSpec(space, h, dissipators=((b, 0.8),))
 
 
 STEADY_MODELS = {

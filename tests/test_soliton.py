@@ -8,7 +8,7 @@ from nlo_quanta.errors import NumericsError, ParameterError, TruncationError
 def _fiber(n0=25, g3=-0.05, widths=24.0, points=1024):
     width = soliton.FWHM_FACTOR * 2.0 / (abs(g3) * (n0 - 1))
     grid = soliton.SpatialGrid(extent=widths * width, points=points)
-    return soliton.FiberParams(omega1_dblprime=2.0, g3=g3, v1=0.0, grid=grid)
+    return soliton.FiberParams(omega1_dblprime=2.0, g3=g3, grid=grid)
 
 
 class TestG3FromFiber:
@@ -83,7 +83,7 @@ def _fwhm(profile):
 class TestSplitStep:
     def test_free_gaussian_dispersion(self):
         p = _fiber(g3=-1e-30)  # effectively free
-        pfree = soliton.FiberParams(p.omega1_dblprime, 0.0, 0.0, p.grid)
+        pfree = soliton.FiberParams(p.omega1_dblprime, 0.0, p.grid)
         x = p.grid.x
         sigma = 2.0
         psi0 = (2 * np.pi * sigma ** 2) ** (-0.25) * np.exp(-(x ** 2) / (4 * sigma ** 2))
@@ -253,7 +253,7 @@ class TestMeanField:
         n0 = 25
         p = _fiber(n0)
         alpha = np.sqrt(float(n0))
-        mf = soliton.mean_field(alpha, p, None, 0.0)
+        mf = soliton.mean_field(alpha, p, 0.0)
         ref = alpha * soliton.hartree_profile(n0, 0.0, 0.0, p, 0.0).values
         assert abs(mf.peak() - np.abs(ref).max()) / np.abs(ref).max() < 0.01
 
@@ -262,7 +262,7 @@ class TestMeanField:
         p = _fiber(n0)
         alpha = np.sqrt(float(n0))
         t = 0.1 / (p.g3 ** 2 * n0 ** 1.5)  # dephasing parameter 0.1
-        mf = soliton.mean_field(alpha, p, None, t)
+        mf = soliton.mean_field(alpha, p, t)
         assert mf.meta_dict()["dephasing_parameter"] <= 0.1 + 1e-12
         ref = np.abs(alpha * soliton.hartree_profile(n0, 0.0, 0.0, p, t).values)
         rel = abs(mf.peak() - ref.max()) / ref.max()
@@ -272,7 +272,7 @@ class TestMeanField:
         n0 = 25
         p = _fiber(n0)
         alpha = np.sqrt(float(n0))
-        peaks = [soliton.mean_field(alpha, p, None, t).peak()
+        peaks = [soliton.mean_field(alpha, p, t).peak()
                  for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
 
@@ -281,11 +281,11 @@ class TestMeanField:
         n0 = 36
         p = _fiber(n0)
         alpha = np.sqrt(float(n0))
-        base = soliton.mean_field(alpha, p, None, 0.0)
+        base = soliton.mean_field(alpha, p, 0.0)
         wider = soliton.SERIES_WINDOW_SIGMAS
         try:
             soliton.SERIES_WINDOW_SIGMAS = wider + 4.0
-            widened = soliton.mean_field(alpha, p, None, 0.0)
+            widened = soliton.mean_field(alpha, p, 0.0)
         finally:
             soliton.SERIES_WINDOW_SIGMAS = wider
         assert np.abs(base.values - widened.values).max() < 1e-8
@@ -316,9 +316,9 @@ class TestMeanField:
     def test_small_alpha_rejected(self):
         p = _fiber(25)
         with pytest.raises(ParameterError):
-            soliton.mean_field(1.0, p, None, 0.0)
+            soliton.mean_field(1.0, p, 0.0)
 
     def test_tail_bound_reported(self):
         p = _fiber(25)
-        mf = soliton.mean_field(5.0, p, None, 0.0)
+        mf = soliton.mean_field(5.0, p, 0.0)
         assert 0.0 <= mf.meta_dict()["tail_bound"] < 0.01
