@@ -153,7 +153,7 @@ def parse_config_file(path: str, command: str | None):
                 raise ConfigError(
                     f"config command {cfg_command!r} conflicts with CLI command {command!r}")
         if "seed" in run:
-            seed = int(run["seed"])
+            seed = _parse_value("seed", run["seed"], int)
         sections.discard("run")
     if cfg_command is None:
         raise ConfigError("no command given (CLI argument or [run] section)")
@@ -166,6 +166,18 @@ def parse_config_file(path: str, command: str | None):
     return cfg_command, raw, seed
 
 
+def _parse_value(key: str, text: str, cast: type):
+    """``text`` read as a finite ``cast``; an int may be written as an
+    integral float (``1e2`` reads as 100). Raises ConfigError otherwise."""
+    try:
+        value = float(text)
+        if not np.isfinite(value) or (cast is int and not value.is_integer()):
+            raise ValueError(f"not a finite {cast.__name__}")
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})")
+    return cast(value)
+
+
 def build_config(command: str, raw: dict, seed: int, threads: int, fast: bool) -> ScenarioConfig:
     entry = TABLE[command]
     unknown = set(raw) - set(entry.defaults)
@@ -173,14 +185,7 @@ def build_config(command: str, raw: dict, seed: int, threads: int, fast: bool) -
         raise ConfigError(f"unknown keys for {command!r}: {sorted(unknown)}")
     params = dict(entry.defaults)
     for key, text in raw.items():
-        cast = type(params[key])
-        try:
-            value = float(text)
-            if not np.isfinite(value) or (cast is int and not value.is_integer()):
-                raise ValueError(f"not a finite {cast.__name__}")
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})")
-        params[key] = cast(value)
+        params[key] = _parse_value(key, text, type(params[key]))
     if not entry.rule(params):
         raise ConfigError(entry.message)
     return ScenarioConfig(command, params, seed=seed, threads=threads, fast=fast)
@@ -217,18 +222,10 @@ def run_squeeze(p: dict):
 
 
 def run_entangle(p: dict):
-    space = fock.make_space([5, 5])
-    i00, i11 = space.flat_index((0, 0)), space.flat_index((1, 1))
-
-    def state(theta):
-        vec = np.zeros(space.total_dim, dtype=complex)
-        vec[i00], vec[i11] = np.cos(theta), -np.sin(theta)
-        return fock.QuantumState(space, "pure", vec)
-
     thetas = np.linspace(0.0, np.pi / 2, p["points"])
     dsum, eprod = [], []
     for theta in thetas:
-        s = state(theta)
+        s = validation._pair_state(theta)
         dsum.append(dg.duan_simon_sum(s, 0, 1).value)
         eprod.append(dg.epr_product(s, 0, 1).value)
     k = int(np.argmin(dsum))
@@ -239,7 +236,7 @@ def run_entangle(p: dict):
         ("duan_simon_sum", "dimensionless", dsum),
         ("epr_product", "dimensionless", eprod),
     ])
-    best = state(thetas[k])
+    best = validation._pair_state(thetas[k])
     reports = [dg.duan_simon_sum(best, 0, 1).to_json_row(),
                dg.epr_product(best, 0, 1).to_json_row()]
     return [table], {
@@ -441,52 +438,74 @@ class Command:
     runner: Callable
 
 
+# Upper bounds of the size-like parameters: the largest value any test, demo
+# or benchmark input uses (181 sweep points, dims 18, n 4, 241 Husimi points,
+# a 1024-point grid, ~6000 guided steps, 5 snapshots), with headroom.
+_MAX_POINTS = 10_000
+_MAX_DIM = 64
+_MAX_N = 8
+_MAX_HUSIMI_POINTS = 401
+_MAX_GRID_POINTS = 16_384
+_MAX_STEPS = 1_000_000
+_MAX_SNAPSHOTS = 100
+
 TABLE = {
     "squeeze": Command(
         dict(n_pump=1e4, u_min=0.0, u_max=3.0, points=61),
-        lambda p: p["n_pump"] > 0 and p["points"] >= 2 and p["u_max"] > p["u_min"],
-        "squeeze needs n_pump > 0, points >= 2, u_max > u_min", run_squeeze),
+        lambda p: (p["n_pump"] > 0 and 2 <= p["points"] <= _MAX_POINTS
+                   and p["u_max"] > p["u_min"]),
+        f"squeeze needs n_pump > 0, 2 <= points <= {_MAX_POINTS}, u_max > u_min", run_squeeze),
     "entangle": Command(
         dict(points=181),
-        lambda p: p["points"] >= 16,
-        "entangle needs points >= 16", run_entangle),
+        lambda p: 16 <= p["points"] <= _MAX_POINTS,
+        f"entangle needs 16 <= points <= {_MAX_POINTS}", run_entangle),
     "kerr": Command(
         dict(alpha=2.0, omega=0.0, kappa=1.0, kt_max=2.0 * np.pi, points=101, bs_phi=0.25),
-        lambda p: p["points"] >= 2 and p["kt_max"] > 0 and p["kappa"] != 0,
-        "kerr needs points >= 2, kt_max > 0 and kappa != 0", run_kerr),
+        lambda p: 2 <= p["points"] <= _MAX_POINTS and p["kt_max"] > 0 and p["kappa"] != 0,
+        f"kerr needs 2 <= points <= {_MAX_POINTS}, kt_max > 0 and kappa != 0", run_kerr),
     "oscillator": Command(
         dict(kappa=0.25, gamma_a=1.0, gamma_b=2.0, ratio_min=0.02, ratio_max=0.999, points=50),
         lambda p: (0.0 < p["ratio_min"] < p["ratio_max"] < 1.0
-                   and min(p["kappa"], p["gamma_a"], p["gamma_b"]) > 0),
-        "oscillator sweep needs 0 < ratio_min < ratio_max < 1 and kappa, gamma_a, "
-        "gamma_b > 0", run_oscillator),
+                   and min(p["kappa"], p["gamma_a"], p["gamma_b"]) > 0
+                   and p["points"] <= _MAX_POINTS),
+        "oscillator sweep needs 0 < ratio_min < ratio_max < 1, kappa, gamma_a, "
+        f"gamma_b > 0 and points <= {_MAX_POINTS}", run_oscillator),
     "nphoton": Command(
         dict(n=3, kappa_n=0.15, pump_alpha=1.0, signal_dim=18, pump_dim=14, t_max=3.0,
              points=16, husimi_radius=3.5, husimi_points=41),
-        lambda p: (p["n"] >= 2 and p["signal_dim"] > p["n"] and p["pump_dim"] >= 2
-                   and p["husimi_points"] >= 2),
-        "nphoton needs n >= 2, signal_dim > n, pump_dim >= 2 and husimi_points >= 2", run_nphoton),
+        lambda p: (2 <= p["n"] <= _MAX_N and p["n"] < p["signal_dim"] <= _MAX_DIM
+                   and 2 <= p["pump_dim"] <= _MAX_DIM
+                   and 2 <= p["husimi_points"] <= _MAX_HUSIMI_POINTS
+                   and p["points"] <= _MAX_POINTS),
+        f"nphoton needs 2 <= n <= {_MAX_N}, n < signal_dim <= {_MAX_DIM}, "
+        f"2 <= pump_dim <= {_MAX_DIM}, 2 <= husimi_points <= {_MAX_HUSIMI_POINTS} "
+        f"and points <= {_MAX_POINTS}", run_nphoton),
     "medium": Command(
         dict(delta=1.0, g=1.0, n_density=1.0, e0_min=0.0, e0_max=0.05, points=51),
-        lambda p: 0 <= p["e0_min"] < p["e0_max"],
-        "medium sweep needs 0 <= e0_min < e0_max", run_medium),
+        lambda p: 0 <= p["e0_min"] < p["e0_max"] and p["points"] <= _MAX_POINTS,
+        f"medium sweep needs 0 <= e0_min < e0_max and points <= {_MAX_POINTS}", run_medium),
     "dispersion": Command(
         dict(beta_nu_rel=1.0 / 2.25, beta_prime_s=2e-27, beta_dblprime_s2=1e-43,
              k_min=1e6, k_max=2e7, points=100),
-        lambda p: p["beta_nu_rel"] > 0 and p["k_min"] > 0 and p["k_max"] > 0,
-        "dispersion needs beta_nu_rel > 0, k_min > 0 and k_max > 0", run_dispersion),
+        lambda p: (p["beta_nu_rel"] > 0 and p["k_min"] > 0 and p["k_max"] > 0
+                   and p["points"] <= _MAX_POINTS),
+        f"dispersion needs beta_nu_rel > 0, k_min > 0, k_max > 0 and points <= {_MAX_POINTS}",
+        run_dispersion),
     "downconv": Command(
         dict(k0=3.0, dz_max=40.0, points=161),
-        lambda p: p["k0"] > 0 and p["dz_max"] > 0,
-        "downconv needs k0 > 0 and dz_max > 0", run_downconv),
+        lambda p: p["k0"] > 0 and p["dz_max"] > 0 and p["points"] <= _MAX_POINTS,
+        f"downconv needs k0 > 0, dz_max > 0 and points <= {_MAX_POINTS}", run_downconv),
     "soliton": Command(
         # steps = 0 takes the step count from FiberParams.guided_steps
         dict(n0=25, omega1_dblprime=2.0, g3=-0.05, grid_widths=24.0, grid_points=1024,
              periods=1.0, steps=0, snapshots=5),
         lambda p: (p["n0"] >= 2 and p["grid_widths"] >= 12 and p["g3"] < 0
-                   and p["periods"] > 0 and p["steps"] >= 0 and p["snapshots"] >= 2),
+                   and p["periods"] > 0 and p["grid_points"] <= _MAX_GRID_POINTS
+                   and 0 <= p["steps"] <= _MAX_STEPS
+                   and 2 <= p["snapshots"] <= _MAX_SNAPSHOTS),
         "soliton needs n0 >= 2, g3 < 0, a grid of >= 12 soliton widths, periods > 0, "
-        "steps >= 0 and snapshots >= 2", run_soliton),
+        f"grid_points <= {_MAX_GRID_POINTS}, 0 <= steps <= {_MAX_STEPS} and "
+        f"2 <= snapshots <= {_MAX_SNAPSHOTS}", run_soliton),
     "validate": Command({}, lambda p: True, "", run_validate),
 }
 

@@ -6,29 +6,26 @@ Numerical routes
   Krylov ``expm_multiply`` above it.
 * Time-dependent (rotating-term) Hamiltonians: adaptive DOP853 with local
   error <= 1e-10.
-* Master equation: adaptive DOP853 on the vectorized density matrix. Trace
+* Master equation: L is block diagonal over the sectors of its pattern
+  joined with rho -> rho^T (``_closed_sectors``), e.g. the n_a - m_a parity
+  classes of the parametric oscillator, or a coherence order and its
+  mirror. L preserves hermiticity, so on each such set it is real in the
+  coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn; the ODE and ILU
+  routes work there in float64, and S maps back to a hermitian rho.
+  Transients run adaptive DOP853 on the sets rho0 occupies. Trace
   renormalization is deliberately off; trace drift is an error signal.
-* Steady states: the Liouvillian is split into the decoupled sectors of its
-  nonzero pattern (``fock.sectors``), e.g. the n_a - m_a parity classes of
-  the parametric oscillator. Exactly one sector may hold populations
-  rho_nn; it carries the steady state. The default route solves a
-  trace-constrained system on the population sector with ILU-preconditioned
-  GMRES, and every other sector must pass a preconditioned GMRES solve that
-  shows it nonsingular, so a traceless second null vector is caught too.
-  L preserves hermiticity, so on a sector closed under rho -> rho^T it is a
-  real matrix in the coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn;
-  those sectors are solved in float64, and the steady state comes back
-  hermitian by construction. A sector whose transpose is another sector (a
-  mirror pair, e.g. the coherences of a number-conserving model) carries
-  the complex conjugate of its partner's L, so one sector of each pair is
-  checked, in complex form. Every sector ILU factors in the sector's own
+* Steady states: exactly one set may hold populations rho_nn; it carries
+  the steady state. The default route solves a trace-constrained system on
+  it with ILU-preconditioned GMRES, and every other set must pass a
+  preconditioned GMRES solve that shows it nonsingular, so a traceless
+  second null vector is caught too. Every ILU factors in the set's own
   row-major order of rho, which is already banded (``permc_spec="NATURAL"``);
   minimum-degree reordering only adds fill there. Under that order the
   solve's trace row stays rho_00's, the block's first row, and the
   degeneracy probe's is rho_11's: a trace row put last leaves some ILU rungs
-  exactly singular. A sector that no ILU rung solves is taken to be
-  singular and raises AmbiguityError. A dense eigendecomposition per sector
-  is the slow reference.
+  exactly singular. A set that no ILU rung solves is taken to be singular
+  and raises AmbiguityError. A dense eigendecomposition per set is the slow
+  reference.
 """
 
 from __future__ import annotations
@@ -130,7 +127,7 @@ def evolve_pure(model: ModelSpec, psi0: QuantumState, times) -> EvolutionResult:
     for t, v in zip(times, vecs):
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) >= PURE_NORM_TOL or not np.isfinite(nrm):
-            raise NumericsError(f"norm drift {abs(nrm - 1.0):.2e} at t={t} exceeds 1e-9")
+            raise NumericsError(f"norm drift {abs(nrm - 1.0):.2e} at t={t} exceeds {PURE_NORM_TOL}")
         states.append(QuantumState(model.space, "pure", v / nrm, psi0.tail_mass))
     return EvolutionResult(model, times, states)
 
@@ -163,13 +160,8 @@ def _check_density_sample(space, m, t, tail):
         raise NumericsError(f"non-finite density entries at t={t}")
     tr = complex(np.trace(m))
     if abs(tr - 1.0) >= TRACE_TOL:
-        raise NumericsError(f"trace drift {abs(tr - 1.0):.2e} at t={t} exceeds 1e-8")
-    herm = float(np.abs(m - m.conj().T).max())
-    if herm >= TRACE_TOL:
-        raise NumericsError(f"hermiticity drift {herm:.2e} at t={t} exceeds 1e-8")
-    m = 0.5 * (m + m.conj().T)
-    m = m / np.trace(m).real
-    return QuantumState(space, "density", _clip_negative_eigenvalues(m), tail)
+        raise NumericsError(f"trace drift {abs(tr - 1.0):.2e} at t={t} exceeds {TRACE_TOL}")
+    return QuantumState(space, "density", _clip_negative_eigenvalues(m / tr.real), tail)
 
 
 def _clip_negative_eigenvalues(m):
@@ -185,9 +177,11 @@ def _clip_negative_eigenvalues(m):
 def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionResult:
     """Integrate the master equation d rho/dt = -i[H, rho] + sum Lambda.
 
-    Pure initial states are auto-promoted to densities. DOP853 runs at
-    ``LINDBLAD_RTOL``/``LINDBLAD_ATOL``. Trace and hermiticity are verified
-    (not repaired beyond 1e-8) at every sample.
+    Pure initial states are auto-promoted to densities. rho never leaves
+    the transpose-closed sectors rho0 occupies, so DOP853 integrates
+    ``_real_block`` on their union at ``LINDBLAD_RTOL``/``LINDBLAD_ATOL``,
+    and S maps each sample back to a hermitian rho. Trace drift of
+    ``TRACE_TOL`` or more raises NumericsError.
     """
     if rho0.space != model.space:
         raise ContractError("state and model live on different spaces")
@@ -198,16 +192,16 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
     L = liouvillian(model)
     if np.all(times == 0.0):
         return EvolutionResult(model, times, [rho0 for _ in times])
-
-    def rhs(t, y):
-        return L @ y
-
-    sol = solve_ivp(rhs, (0.0, times.max()),
-                    rho0.data.reshape(-1).astype(complex),
+    x0 = rho0.data.reshape(-1)
+    occupied = np.sort(np.concatenate(
+        [block for block in _closed_sectors(L, d) if np.any(x0[block] != 0)]))
+    Lr, S, S_inv = _real_block(L, occupied, d)
+    sol = solve_ivp(lambda t, y: Lr @ y, (0.0, times.max()), (S_inv @ x0[occupied]).real,
                     t_eval=times, method="DOP853", rtol=LINDBLAD_RTOL, atol=LINDBLAD_ATOL)
     if not sol.success:
         raise NumericsError(f"Lindblad integration failed: {sol.message}")
-    states = [_check_density_sample(model.space, sol.y[:, i].reshape(d, d), t, rho0.tail_mass)
+    states = [_check_density_sample(model.space, _scatter(S @ sol.y[:, i], occupied, d), t,
+                                    rho0.tail_mass)
               for i, t in enumerate(times)]
     return EvolutionResult(model, times, states)
 
@@ -260,6 +254,14 @@ def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, block: np.ndar
             f"so the null space is degenerate ({exc})") from exc
 
 
+def _closed_sectors(L: sp.csr_matrix, d: int) -> list[np.ndarray]:
+    """``fock.sectors`` of |L| + T, T the map rho -> rho^T: L is block
+    diagonal over these sets, and a mirror pair of sectors is one set."""
+    k = np.arange(d * d)
+    T = sp.csr_matrix((np.ones(d * d), (k, (k % d) * d + k // d)), shape=(d * d, d * d))
+    return sectors(abs(L) + T)
+
+
 def _hermitian_basis(block: np.ndarray, d: int):
     """Sparse maps S and S^-1 between the entries of rho on a sector closed
     under rho -> rho^T and real coordinates at the same positions: Re rho_nm
@@ -288,7 +290,8 @@ def _hermitian_basis(block: np.ndarray, d: int):
 
 def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int):
     """L on a sector closed under rho -> rho^T, written in the real
-    coordinates of ``_hermitian_basis``, and the map S back to rho.
+    coordinates of ``_hermitian_basis``, and the maps S back to rho and
+    S^-1 from it.
 
     A Lindblad generator preserves hermiticity, so S^-1 L S is real; an
     imaginary part beyond the hermiticity tolerance of the Hamiltonian
@@ -300,7 +303,7 @@ def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int):
     if abs(Lc.imag).max() > HERMITICITY_TOL * max(1.0, abs(Lr).max()):
         raise NumericsError("Liouvillian sector does not preserve hermiticity")
     Lr.eliminate_zeros()
-    return Lr, S
+    return Lr, S, S_inv
 
 
 def _trace_row_system(L: sp.csc_matrix, pops: np.ndarray, row: int):
@@ -334,7 +337,7 @@ def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
     that does not converge under the solve's preconditioner walks the ladder
     on its own, and raises NumericsError when no rung serves.
     """
-    Lr, S = _real_block(L, population, d)
+    Lr, S, _ = _real_block(L, population, d)
     pops = np.searchsorted(population, np.arange(d) * (d + 1))
     A, rhs = _trace_row_system(Lr, pops, pops[0])
     x, M = _solve_sector(A, rhs, 1e-13, population, d)
@@ -349,12 +352,12 @@ def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
     return _scatter(S @ x, population, d), _scatter(S @ x2, population, d)
 
 
-def _require_nonsingular(L: sp.csr_matrix, block: np.ndarray, d: int, closed: bool):
-    """Show a block of L without populations to be nonsingular: a
-    preconditioned GMRES solve with a fixed random right-hand side must
-    converge. A singular block holds a traceless null vector of L. A block
-    ``closed`` under rho -> rho^T is solved in real coordinates."""
-    A = _real_block(L, block, d)[0] if closed else L[block][:, block].tocsc()
+def _require_nonsingular(L: sp.csr_matrix, block: np.ndarray, d: int):
+    """Show a transpose-closed block of L without populations to be
+    nonsingular: a preconditioned GMRES solve in real coordinates with a
+    fixed random right-hand side must converge. A singular block holds a
+    traceless null vector of L."""
+    A = _real_block(L, block, d)[0]
     _solve_sector(A, np.random.default_rng(0).standard_normal(len(block)), 1e-8, block, d)
 
 
@@ -390,18 +393,17 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     ``method`` is "auto" (the default) or "dense"; any other value raises
     ContractError.
 
-    L is split into the sectors of its nonzero pattern (``fock.sectors``),
+    L is split into its transpose-closed sectors (``_closed_sectors``),
     over which it is block diagonal. The trace functional is a left null
     vector of every block holding a population entry rho_nn, so more than
     one such block means a degenerate null space.
 
-    "auto" solves the trace-constrained system on the population block
-    alone with ILU-preconditioned GMRES and shows every other block
-    nonsingular. A block closed under rho -> rho^T is written in the real
-    coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn and solved in
-    float64; the trace row and the degeneracy probe's row are those of
-    rho_00 and rho_11, and the ILUs factor in band order. Of a mirror pair of blocks, whose L are complex
-    conjugates, one is checked, in complex form. One failure rule covers
+    "auto" writes each block in the real coordinates Re rho_nm, Im rho_nm
+    (n < m) and rho_nn and works in float64: it solves the
+    trace-constrained system on the population block alone with
+    ILU-preconditioned GMRES and shows every other block nonsingular. The
+    trace row and the degeneracy probe's row are those of rho_00 and
+    rho_11, and the ILUs factor in band order. One failure rule covers
     every block: a block that no ``ILU_LADDER`` rung solves, the population
     block included, raises AmbiguityError naming it. A probe that converges
     on no ILU rung raises NumericsError rather than skip the degeneracy
@@ -414,28 +416,21 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
         raise ContractError("steady_state needs at least one dissipator with positive rate")
     d = model.space.total_dim
     L = liouvillian(model)
-    blocks = sectors(L)
-    labels = np.empty(d * d, dtype=int)
-    for k, block in enumerate(blocks):
-        labels[block] = k
-    holding = np.unique(labels[np.arange(d) * (d + 1)])
+    blocks = _closed_sectors(L, d)
+    holding = [block for block in blocks if np.any(block // d == block % d)]
     if len(holding) > 1:
         raise AmbiguityError(
             f"Liouvillian has {len(holding)} decoupled sectors holding populations; "
             "steady state ambiguous")
-    population = blocks[holding[0]]
+    population = holding[0]
 
     probe = None
     if method == "dense":
         rho = _steady_dense(L, blocks, population, d)
     else:
-        for k, block in enumerate(blocks):
-            n, m = divmod(int(block[0]), d)
-            partner = labels[m * d + n]
-            # L on a mirror sector is the complex conjugate of L on its
-            # partner, so one sector of each pair is checked
-            if block is not population and partner >= k:
-                _require_nonsingular(L, block, d, closed=partner == k)
+        for block in blocks:
+            if block is not population:
+                _require_nonsingular(L, block, d)
         rho, probe = _steady_ilu(L, population, d)
 
     rho = 0.5 * (rho + rho.conj().T)
@@ -445,7 +440,7 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     rho = rho / tr
     residual = float(np.linalg.norm(L @ rho.reshape(-1)))
     if residual >= STEADY_RESIDUAL_TOL:
-        raise NumericsError(f"steady-state residual {residual:.2e} exceeds 1e-10")
+        raise NumericsError(f"steady-state residual {residual:.2e} exceeds {STEADY_RESIDUAL_TOL}")
     if probe is not None:
         probe = 0.5 * (probe + probe.conj().T)
         probe = probe / np.trace(probe).real

@@ -34,6 +34,7 @@ SPARSE_THRESHOLD = 256
 
 HERMITICITY_TOL = 1e-12
 COHERENT_TAIL_TOL = 1e-10
+_NORMALIZATION_TOL = 1e-10
 NEGATIVE_EIGENVALUE_FLOOR = 1e-10
 
 
@@ -206,17 +207,19 @@ class QuantumState:
             if self.data.shape != (n,):
                 raise ContractError(f"pure state must be a length-{n} vector")
             nrm = float(np.linalg.norm(self.data))
-            if abs(nrm - 1.0) >= 1e-10:
-                raise ContractError(f"pure state norm {nrm} deviates from 1 beyond 1e-10")
+            if abs(nrm - 1.0) >= _NORMALIZATION_TOL:
+                raise ContractError(
+                    f"pure state norm {nrm} deviates from 1 beyond {_NORMALIZATION_TOL}")
         elif self.kind == "density":
             if self.data.shape != (n, n):
                 raise ContractError(f"density matrix must be {n}x{n}")
             tr = complex(np.trace(self.data))
-            if abs(tr - 1.0) >= 1e-10:
-                raise ContractError(f"density trace {tr} deviates from 1 beyond 1e-10")
+            if abs(tr - 1.0) >= _NORMALIZATION_TOL:
+                raise ContractError(
+                    f"density trace {tr} deviates from 1 beyond {_NORMALIZATION_TOL}")
             herm = float(np.abs(self.data - self.data.conj().T).max())
             if herm >= HERMITICITY_TOL:
-                raise ContractError(f"density hermiticity defect {herm} beyond 1e-12")
+                raise ContractError(f"density hermiticity defect {herm} beyond {HERMITICITY_TOL}")
             evmin = float(np.linalg.eigvalsh(self.data).min())
             if evmin <= -NEGATIVE_EIGENVALUE_FLOOR:
                 raise ContractError(f"density has negative eigenvalue {evmin}")

@@ -249,5 +249,5 @@ def mode_norm_Ak(k: float, c: DispersionCoeffs) -> float:
     rel = abs(a_k - a_k_group) / a_k
     if rel >= MODE_NORM_AGREEMENT_TOL:
         raise DomainError(
-            f"mode-normalization forms disagree by {rel:.2e} (> 1e-10)")
+            f"mode-normalization forms disagree by {rel:.2e} (>= {MODE_NORM_AGREEMENT_TOL})")
     return float(a_k)

@@ -60,7 +60,8 @@ class ModelSpec:
         if self.rotating_terms:
             defect = max(defect, self.hamiltonian_at(0.731).hermiticity_defect())
         if defect >= HERMITICITY_TOL:
-            raise ContractError(f"Hamiltonian hermiticity defect {defect:.2e} beyond 1e-12")
+            raise ContractError(
+                f"Hamiltonian hermiticity defect {defect:.2e} beyond {HERMITICITY_TOL}")
         for _, rate in self.dissipators:
             if rate < 0:
                 raise ParameterError(f"dissipator rate {rate} must be >= 0")

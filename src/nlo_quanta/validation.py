@@ -104,19 +104,21 @@ def check_conservation_and_parity() -> CheckResult:
                     "tolerance": 1e-10, "samples": 50})
 
 
+def _pair_state(theta: float) -> fock.QuantumState:
+    """The pair state cos(theta)|00> - sin(theta)|11> on a (5, 5) space."""
+    space = fock.make_space([5, 5])
+    vec = np.zeros(space.total_dim, dtype=complex)
+    vec[space.flat_index((0, 0))] = np.cos(theta)
+    vec[space.flat_index((1, 1))] = -np.sin(theta)
+    return fock.QuantumState(space, "pure", vec)
+
+
 def check_entanglement_minimum() -> CheckResult:
     """4: the pair-state inseparability sum attains 4 - 2 sqrt(2) at
     c0 = cos(pi/8) over the Bloch-angle scan."""
-    space = fock.make_space([5, 5])
-    i00 = space.flat_index((0, 0))
-    i11 = space.flat_index((1, 1))
 
     def dsum(theta):
-        vec = np.zeros(space.total_dim, dtype=complex)
-        vec[i00] = np.cos(theta)
-        vec[i11] = -np.sin(theta)
-        state = fock.QuantumState(space, "pure", vec)
-        return dg.duan_simon_sum(state, 0, 1).value
+        return dg.duan_simon_sum(_pair_state(theta), 0, 1).value
 
     thetas = np.linspace(0.0, np.pi / 2, 181)
     values = np.array([dsum(t) for t in thetas])

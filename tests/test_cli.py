@@ -76,6 +76,21 @@ class TestConfigValidation:
         ("squeeze", "points", "2.7"),
         ("kerr", "alpha", "nan"),
         ("medium", "e0_max", "inf"),
+        ("squeeze", "points", "1e19"),
+        ("entangle", "points", "10001"),
+        ("kerr", "points", "10001"),
+        ("oscillator", "points", "10001"),
+        ("nphoton", "n", "9"),
+        ("nphoton", "signal_dim", "65"),
+        ("nphoton", "pump_dim", "65"),
+        ("nphoton", "points", "10001"),
+        ("nphoton", "husimi_points", "402"),
+        ("medium", "points", "10001"),
+        ("dispersion", "points", "10001"),
+        ("downconv", "points", "10001"),
+        ("soliton", "grid_points", "16385"),
+        ("soliton", "steps", "1000001"),
+        ("soliton", "snapshots", "101"),
     ])
     def test_bad_parameter_value_rejected(self, tmp_path, command, key, value):
         cfg = tmp_path / "bad.ini"
@@ -88,6 +103,20 @@ class TestConfigValidation:
         cfg = cli.build_config("squeeze", {"points": "1e2", "n_pump": "250"}, 0, 1, False)
         assert cfg.params["points"] == 100 and type(cfg.params["points"]) is int
         assert cfg.hash() == "a4da5a7ca0368754"
+
+    def test_seed_read_like_an_int_parameter(self, tmp_path):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text("[run]\nseed = 1e2\n[squeeze]\nn_pump = 250\n")
+        assert cli.parse_config_file(str(cfg), "squeeze") == ("squeeze", {"n_pump": "250"}, 100)
+
+    @pytest.mark.parametrize("seed", ["1.5", "inf"])
+    def test_bad_seed_rejected(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(f"[run]\nseed = {seed}\n")
+        out = tmp_path / "o"
+        assert cli.main(["squeeze", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         "n_pump = 5\n",
