@@ -10,26 +10,34 @@ Numerical routes
   joined with rho -> rho^T (``_closed_sectors``), e.g. the n_a - m_a parity
   classes of the parametric oscillator, or a coherence order and its
   mirror. L preserves hermiticity, so on each such set it is real in the
-  coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn; the ODE and ILU
-  routes work there in float64, and S maps back to a hermitian rho.
-  Transients run adaptive DOP853 on the sets rho0 occupies. Trace
-  renormalization is deliberately off; trace drift is an error signal.
-* Steady states: exactly one set may hold populations rho_nn; it carries
-  the steady state. The default route solves a trace-constrained system on
-  it with ILU-preconditioned GMRES, and every other set must pass a
-  preconditioned GMRES solve that shows it nonsingular, so a traceless
-  second null vector is caught too. Every ILU factors in the set's own
-  row-major order of rho, which is already banded (``permc_spec="NATURAL"``);
-  minimum-degree reordering only adds fill there. Under that order the
-  solve's trace row stays rho_00's, the block's first row, and the
-  degeneracy probe's is rho_11's: a trace row put last leaves some ILU rungs
-  exactly singular. A set that no ILU rung solves is taken to be singular
-  and raises AmbiguityError. A dense eigendecomposition per set is the slow
-  reference.
+  coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn (``_real_block``).
+  Each set is split once more by the pattern of that real block
+  (``_real_sectors``): when H is i times a real matrix, as for the
+  parametric oscillator, L also commutes with rho -> rho* and a set falls
+  apart into its Re and Im halves. Every route works on these real sectors
+  in float64, and maps back to an exactly hermitian rho. Transients run
+  adaptive DOP853 on the real sectors rho0 occupies. Trace renormalization
+  is deliberately off; trace drift is an error signal.
+* Steady states: exactly one real sector may hold populations rho_nn; it
+  carries the steady state. The default route solves a trace-constrained
+  system on it with ILU-preconditioned GMRES, and every other real sector
+  must pass a preconditioned GMRES solve that shows it nonsingular, so a
+  traceless second null vector is caught too. The calling thread solves
+  the population sector while a thread pool of max(1, usable CPUs - 1)
+  workers checks the others (``_run_sectors``). Every ILU factors in the
+  sector's own row-major order of rho, which is already banded
+  (``permc_spec="NATURAL"``); minimum-degree reordering only adds fill
+  there. Under that order the solve's trace row stays rho_00's, the
+  block's first row, and the degeneracy probe's is rho_11's: a trace row
+  put last leaves some ILU rungs exactly singular. A sector that no ILU
+  rung solves is taken to be singular and raises AmbiguityError. A dense
+  eigendecomposition per real sector is the slow reference.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,10 +186,13 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
     """Integrate the master equation d rho/dt = -i[H, rho] + sum Lambda.
 
     Pure initial states are auto-promoted to densities. rho never leaves
-    the transpose-closed sectors rho0 occupies, so DOP853 integrates
-    ``_real_block`` on their union at ``LINDBLAD_RTOL``/``LINDBLAD_ATOL``,
-    and S maps each sample back to a hermitian rho. Trace drift of
-    ``TRACE_TOL`` or more raises NumericsError.
+    the real sectors (``_real_sectors``) that the real coordinates of rho0
+    occupy, so DOP853 integrates L on those sectors alone, in float64, at
+    ``LINDBLAD_RTOL``/``LINDBLAD_ATOL``: from the vacuum that is the
+    population sector of the parametric oscillator, 930 of the 1800
+    entries of its transpose-closed set at dims (10, 6). Each sample maps
+    back to an exactly hermitian rho. Trace drift of ``TRACE_TOL`` or more
+    raises NumericsError.
     """
     if rho0.space != model.space:
         raise ContractError("state and model live on different spaces")
@@ -192,15 +203,16 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
     L = liouvillian(model)
     if np.all(times == 0.0):
         return EvolutionResult(model, times, [rho0 for _ in times])
-    x0 = rho0.data.reshape(-1)
-    occupied = np.sort(np.concatenate(
-        [block for block in _closed_sectors(L, d) if np.any(x0[block] != 0)]))
-    Lr, S, S_inv = _real_block(L, occupied, d)
-    sol = solve_ivp(lambda t, y: Lr @ y, (0.0, times.max()), (S_inv @ x0[occupied]).real,
+    x0 = _real_coordinates(rho0.data)
+    blocks = [block for block in _closed_sectors(L, d) if np.any(x0[block])]
+    occupied = [(idx, A) for idx, A in _real_sectors(L, blocks, d) if np.any(x0[idx])]
+    idx = np.concatenate([idx for idx, _ in occupied])
+    A = sp.block_diag([A for _, A in occupied], format="csc")
+    sol = solve_ivp(lambda t, y: A @ y, (0.0, times.max()), x0[idx],
                     t_eval=times, method="DOP853", rtol=LINDBLAD_RTOL, atol=LINDBLAD_ATOL)
     if not sol.success:
         raise NumericsError(f"Lindblad integration failed: {sol.message}")
-    states = [_check_density_sample(model.space, _scatter(S @ sol.y[:, i], occupied, d), t,
+    states = [_check_density_sample(model.space, _density(sol.y[:, i], idx, d), t,
                                     rho0.tail_mass)
               for i, t in enumerate(times)]
     return EvolutionResult(model, times, states)
@@ -241,16 +253,16 @@ def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
     raise NumericsError(f"preconditioned solve failed: {failure}")
 
 
-def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, block: np.ndarray, d: int):
-    """``_ilu_gmres`` on the system A of the sector ``block`` of L. A sector
-    that no rung solves is taken to be singular: it holds a second null
-    vector of L, and AmbiguityError names it."""
+def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, idx: np.ndarray, d: int):
+    """``_ilu_gmres`` on the system A of the real sector at the flat
+    positions ``idx``. A sector that no rung solves is taken to be singular:
+    it holds a second null vector of L, and AmbiguityError names it."""
     try:
         return _ilu_gmres(A, rhs, rtol)
     except NumericsError as exc:
-        n, m = divmod(int(block[0]), d)
+        n, m = divmod(int(idx[0]), d)
         raise AmbiguityError(
-            f"Liouvillian sector of {len(block)} entries from rho[{n}, {m}] looks singular, "
+            f"Liouvillian sector of {len(idx)} real unknowns from rho[{n}, {m}] looks singular, "
             f"so the null space is degenerate ({exc})") from exc
 
 
@@ -306,6 +318,42 @@ def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int):
     return Lr, S, S_inv
 
 
+def _real_sectors(L: sp.csr_matrix, blocks: list, d: int) -> list[tuple]:
+    """The real sectors of L on the transpose-closed sets ``blocks``: each
+    set's ``_real_block``, split again by ``fock.sectors`` of its own
+    pattern (the exact zeros are already dropped). When H is i times a real
+    matrix, L also commutes with rho -> rho*, and a set falls apart into
+    its Re and Im halves; otherwise it stays whole.
+
+    Returns (flat positions, real block in CSC) pairs ordered by first
+    position, so the sector holding rho_00 comes first.
+    """
+    pairs = []
+    for block in blocks:
+        Lr = _real_block(L, block, d)[0]
+        pairs += [(block[sub], Lr[sub][:, sub]) for sub in sectors(Lr)]
+    return sorted(pairs, key=lambda pair: pair[0][0])
+
+
+def _real_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Flat real coordinates of the hermitian part of rho, those of
+    ``_hermitian_basis``: Re rho_nm at rho_nm's position and Im rho_nm at
+    rho_mn's for n < m, and rho_nn at its own. ``_density`` inverts it."""
+    h = 0.5 * (rho + rho.conj().T)
+    return np.where(np.triu(np.ones(h.shape, dtype=bool)), h.real, h.imag.T).reshape(-1)
+
+
+def _density(x: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
+    """The hermitian d x d matrix whose real coordinates are x at the flat
+    positions ``idx`` and zero elsewhere. Every entry is one coordinate, or
+    one of them times +-i, so the map is exact."""
+    r = np.zeros(d * d)
+    r[idx] = x
+    r = r.reshape(d, d)
+    upper, lower = np.triu(r, 1), np.tril(r, -1)
+    return np.diag(np.diag(r)) + upper + upper.T + 1j * (lower.T - lower)
+
+
 def _trace_row_system(L: sp.csc_matrix, pops: np.ndarray, row: int):
     """Copy of L with one row replaced by the trace functional, the sum of
     the entries at ``pops``, set equal to 1."""
@@ -321,10 +369,10 @@ def _trace_row_system(L: sp.csc_matrix, pops: np.ndarray, row: int):
     return A, rhs
 
 
-def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
-    """Trace-constrained solve on the population block of L in real
-    coordinates: replace the row of rho_00 by Tr(rho) = 1, precondition with
-    an incomplete LU, and polish with GMRES.
+def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int):
+    """Trace-constrained solve on the real population sector Lr of L, at
+    the flat positions ``idx``: replace the row of rho_00 by Tr(rho) = 1,
+    precondition with an incomplete LU, and polish with GMRES.
 
     Returns the solution plus a second solve (constraint on the row of
     rho_11) used as a degeneracy probe: for a one-dimensional null space
@@ -333,14 +381,13 @@ def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
     probe system is singular. Under the band order of the ILU a trace row
     near the top keeps every rung nonsingular, where rho_{d-1,d-1}'s row
     leaves some rungs exactly singular. When no rung solves the first
-    system the block is taken to be singular (``_solve_sector``). A probe
+    system the sector is taken to be singular (``_solve_sector``). A probe
     that does not converge under the solve's preconditioner walks the ladder
     on its own, and raises NumericsError when no rung serves.
     """
-    Lr, S, _ = _real_block(L, population, d)
-    pops = np.searchsorted(population, np.arange(d) * (d + 1))
+    pops = np.flatnonzero(idx // d == idx % d)
     A, rhs = _trace_row_system(Lr, pops, pops[0])
-    x, M = _solve_sector(A, rhs, 1e-13, population, d)
+    x, M = _solve_sector(A, rhs, 1e-13, idx, d)
     A2, rhs2 = _trace_row_system(Lr, pops, pops[1])
     x2, info = spla.gmres(A2, rhs2, M=M, rtol=1e-11, atol=0.0, restart=100, maxiter=400)
     if info != 0:
@@ -349,39 +396,71 @@ def _steady_ilu(L: sp.csr_matrix, population: np.ndarray, d: int):
         except NumericsError as exc:
             raise NumericsError(f"degeneracy probe failed, so the null space is not shown "
                                 f"one-dimensional ({exc})") from exc
-    return _scatter(S @ x, population, d), _scatter(S @ x2, population, d)
+    return _density(x, idx, d), _density(x2, idx, d)
 
 
-def _require_nonsingular(L: sp.csr_matrix, block: np.ndarray, d: int):
-    """Show a transpose-closed block of L without populations to be
-    nonsingular: a preconditioned GMRES solve in real coordinates with a
-    fixed random right-hand side must converge. A singular block holds a
-    traceless null vector of L."""
-    A = _real_block(L, block, d)[0]
-    _solve_sector(A, np.random.default_rng(0).standard_normal(len(block)), 1e-8, block, d)
+def _require_nonsingular(A: sp.csc_matrix, idx: np.ndarray, d: int):
+    """Show the real sector A of L, at the flat positions ``idx`` and
+    without populations, to be nonsingular: a preconditioned GMRES solve
+    with a fixed random right-hand side must converge. A singular sector
+    holds a traceless null vector of L."""
+    _solve_sector(A, np.random.default_rng(0).standard_normal(len(idx)), 1e-8, idx, d)
 
 
-def _scatter(x: np.ndarray, block: np.ndarray, d: int) -> np.ndarray:
-    """d x d matrix holding the entries x at the flat indices ``block``."""
-    full = np.zeros(d * d, dtype=complex)
-    full[block] = x
-    return full.reshape(d, d)
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _steady_dense(L: sp.csr_matrix, blocks: list, population: np.ndarray,
-                  d: int) -> np.ndarray:
-    """Eigendecomposition of every block; the null vector comes from the
-    population block, and null eigenvalues are counted over all blocks."""
+def _called(job):
+    """A finished Future holding ``job()``'s result or its exception."""
+    from concurrent.futures import Future
+
+    future = Future()
+    try:
+        future.set_result(job())
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _run_sectors(jobs: list):
+    """Run ``jobs``, zero-argument callables in sector order whose first is
+    the population solve, and return the first one's result.
+
+    The calling thread runs the population job while a pool of
+    max(1, usable CPUs - 1) workers takes the others from the front of its
+    queue; the caller then takes back, from the end, every job that has not
+    started. Outcomes are read in sector order, so when several sectors fail
+    the lowest one's error is raised, whatever the timing.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1)) as pool:
+        futures = [pool.submit(job) for job in jobs[1:]]
+        futures.insert(0, _called(jobs[0]))
+        for k in reversed(range(1, len(futures))):
+            if futures[k].cancel():
+                futures[k] = _called(jobs[k])
+    return [future.result() for future in futures][0]
+
+
+def _steady_dense(real: list, d: int) -> np.ndarray:
+    """Eigendecomposition of every real sector; the null vector comes from
+    the population sector, the first, and null eigenvalues are counted over
+    all of them."""
     null_count = 0
-    for block in blocks:
-        evals, evecs = np.linalg.eig(L[block][:, block].toarray())
+    for k, (idx, A) in enumerate(real):
+        evals, evecs = np.linalg.eig(A.toarray())
         null_count += int(np.sum(np.abs(evals) < 1e-9))
-        if block is population:
-            v = evecs[:, np.argmin(np.abs(evals))]
+        if k == 0:
+            # a simple real eigenvalue has a real eigenvector
+            rho = _density(evecs[:, np.argmin(np.abs(evals))].real, idx, d)
     if null_count > 1:
         raise AmbiguityError(
             f"Liouvillian null space is {null_count}-dimensional; steady state ambiguous")
-    return _scatter(v, population, d)
+    return rho
 
 
 def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
@@ -393,22 +472,28 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     ``method`` is "auto" (the default) or "dense"; any other value raises
     ContractError.
 
-    L is split into its transpose-closed sectors (``_closed_sectors``),
-    over which it is block diagonal. The trace functional is a left null
-    vector of every block holding a population entry rho_nn, so more than
-    one such block means a degenerate null space.
+    L is split into its real sectors (``_real_sectors``): the
+    transpose-closed sets of ``_closed_sectors``, each written in the real
+    coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn and split again by
+    its own pattern. L is block diagonal over them. The trace functional is
+    a left null vector of every sector holding a population entry rho_nn,
+    so more than one such sector means a degenerate null space.
 
-    "auto" writes each block in the real coordinates Re rho_nm, Im rho_nm
-    (n < m) and rho_nn and works in float64: it solves the
-    trace-constrained system on the population block alone with
-    ILU-preconditioned GMRES and shows every other block nonsingular. The
-    trace row and the degeneracy probe's row are those of rho_00 and
-    rho_11, and the ILUs factor in band order. One failure rule covers
-    every block: a block that no ``ILU_LADDER`` rung solves, the population
-    block included, raises AmbiguityError naming it. A probe that converges
-    on no ILU rung raises NumericsError rather than skip the degeneracy
-    check. "dense" counts null eigenvalues over every block and takes the
-    null vector of the population block; it is the slow reference.
+    "auto" works in float64: it solves the trace-constrained system on the
+    population sector alone with ILU-preconditioned GMRES and shows every
+    other real sector nonsingular, the Im half of the population set
+    included. The calling thread runs the population solve, and a thread
+    pool of max(1, usable CPUs - 1) workers (``os.sched_getaffinity``, else
+    ``os.cpu_count``) checks the other sectors; the caller takes back every
+    check that has not started when its own solve ends. The trace row and
+    the degeneracy probe's row are those of rho_00 and rho_11, and the ILUs
+    factor in band order. One failure rule covers every sector: a sector
+    that no ``ILU_LADDER`` rung solves, the population sector included,
+    raises AmbiguityError naming it, and when several fail the one with
+    the lowest first position is named. A probe that converges on no ILU
+    rung raises NumericsError rather than skip the degeneracy check.
+    "dense" counts null eigenvalues over every real sector and takes the
+    null vector of the population sector; it is the slow reference.
     """
     if method not in ("auto", "dense"):
         raise ContractError(f"unknown steady-state method {method!r}")
@@ -416,24 +501,22 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
         raise ContractError("steady_state needs at least one dissipator with positive rate")
     d = model.space.total_dim
     L = liouvillian(model)
-    blocks = _closed_sectors(L, d)
-    holding = [block for block in blocks if np.any(block // d == block % d)]
-    if len(holding) > 1:
+    real = _real_sectors(L, _closed_sectors(L, d), d)
+    holding = sum(bool(np.any(idx // d == idx % d)) for idx, _ in real)
+    if holding > 1:
         raise AmbiguityError(
-            f"Liouvillian has {len(holding)} decoupled sectors holding populations; "
+            f"Liouvillian has {holding} decoupled sectors holding populations; "
             "steady state ambiguous")
-    population = holding[0]
+    # rho_00 sits at position 0, so real[0] is the one population sector
 
     probe = None
     if method == "dense":
-        rho = _steady_dense(L, blocks, population, d)
+        rho = _steady_dense(real, d)
     else:
-        for block in blocks:
-            if block is not population:
-                _require_nonsingular(L, block, d)
-        rho, probe = _steady_ilu(L, population, d)
+        rho, probe = _run_sectors(
+            [functools.partial(_steady_ilu, real[0][1], real[0][0], d)]
+            + [functools.partial(_require_nonsingular, A, idx, d) for idx, A in real[1:]])
 
-    rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise NumericsError("steady-state candidate has vanishing trace")
@@ -442,7 +525,6 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     if residual >= STEADY_RESIDUAL_TOL:
         raise NumericsError(f"steady-state residual {residual:.2e} exceeds {STEADY_RESIDUAL_TOL}")
     if probe is not None:
-        probe = 0.5 * (probe + probe.conj().T)
         probe = probe / np.trace(probe).real
         if float(np.abs(probe - rho).max()) > 1e-6:
             raise AmbiguityError("Liouvillian null space appears degenerate (>= 2)")

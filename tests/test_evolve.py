@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -205,6 +208,21 @@ class TestEvolveLindblad:
         d = model.space.total_dim
         assert len(starts) == 1 and starts[0].shape == (d,) and starts[0].dtype == np.float64
 
+    def test_vacuum_start_integrates_real_population_sector_only(self, monkeypatch):
+        # H is i times a real matrix, so the population set falls apart into
+        # Re and Im halves, and the vacuum occupies the Re half alone
+        model = _dpo((10, 6))
+        sizes = []
+        real_solve_ivp = evolve.solve_ivp
+
+        def recording(fun, t_span, y0, **kwargs):
+            sizes.append(len(y0))
+            return real_solve_ivp(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(evolve, "solve_ivp", recording)
+        evolve.evolve_lindblad(model, fock.vacuum_state(model.space), [0.0, 0.5])
+        assert sizes == [930]
+
     def test_trace_and_hermiticity_checked(self):
         space = fock.make_space([8])
         gamma = 0.5
@@ -252,11 +270,19 @@ ROUTE_MODELS = {
 ORDER_MODELS = {**STEADY_MODELS, "dpo-10-6": ROUTE_MODELS["dpo-10-6"]}
 
 
+def _real_sectors(model):
+    """(flat positions, real block) of every real sector of the model's L,
+    the population sector first."""
+    L = evolve.liouvillian(model)
+    d = model.space.total_dim
+    return evolve._real_sectors(L, evolve._closed_sectors(L, d), d)
+
+
 def _probe_rhs(model):
     """Right-hand side of the degeneracy probe: the trace constraint on
-    rho_11's row of the population block."""
+    rho_11's row of the real population sector."""
     d = model.space.total_dim
-    population = fock.sectors(evolve.liouvillian(model))[0]
+    population = _real_sectors(model)[0][0]
     rhs = np.zeros(len(population))
     rhs[np.searchsorted(population, d + 1)] = 1.0
     return rhs
@@ -322,10 +348,9 @@ class TestSteadyState:
                 evolve.steady_state(model, method=method)
             return
         d = space.total_dim
-        L = evolve.liouvillian(model)
         with pytest.raises(AmbiguityError):
-            for block in evolve._closed_sectors(L, d)[1:]:
-                evolve._require_nonsingular(L, block, d)
+            for idx, A in _real_sectors(model)[1:]:
+                evolve._require_nonsingular(A, idx, d)
 
     def test_population_degenerate_null_space_detected(self):
         # |1> decays to |0> and to |2>, and nothing leaves either: both
@@ -372,12 +397,12 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("method", ["auto", "ilu"])
     def test_steady_state_exactly_hermitian(self, method):
-        # "ilu" takes the solution and the probe of the population solve
-        # before steady_state symmetrizes: the real basis makes them hermitian
+        # "ilu" takes the solution and the probe of the real population
+        # sector's solve as they come: the real basis makes them hermitian
         model = _dpo((8, 6))
         if method == "ilu":
-            L = evolve.liouvillian(model)
-            rhos = evolve._steady_ilu(L, fock.sectors(L)[0], model.space.total_dim)
+            population, A = _real_sectors(model)[0]
+            rhos = evolve._steady_ilu(A, population, model.space.total_dim)
         else:
             rhos = [evolve.steady_state(model, method=method).data]
         for rho in rhos:
@@ -450,14 +475,18 @@ class TestSteadyState:
         monkeypatch.setattr(evolve.spla, "spilu", spilu)
         monkeypatch.setattr(evolve.spla, "gmres", gmres)
         evolve.steady_state(model)
-        # the population and odd-parity sectors each factor on the first rung;
-        # GMRES runs the solve, the probe and the odd-sector check
-        assert rungs == [evolve.ILU_LADDER[0]] * 2
-        assert len(solves) == 3
+        # the population sector, the Im half of its set and both halves of
+        # the odd-parity set each factor on the first rung; GMRES runs the
+        # solve, the probe and the three other sectors' checks
+        assert rungs == [evolve.ILU_LADDER[0]] * 4
+        assert len(solves) == 5
 
     def test_every_rung_factors_probe_system(self, monkeypatch):
+        # the probe runs on the real population sector, the Re half of its set
         model = _dpo((8, 6))
         size = len(_probe_rhs(model))
+        assert size < len(evolve._closed_sectors(evolve.liouvillian(model),
+                                                 model.space.total_dim)[0])
         real_spilu, real_gmres = evolve.spla.spilu, evolve.spla.gmres
         orders, systems = [], []
 
@@ -477,3 +506,57 @@ class TestSteadyState:
         assert len(systems) == 1 and len(set(orders)) == 1
         for drop_tol, fill in evolve.ILU_LADDER:
             real_spilu(systems[0], drop_tol=drop_tol, fill_factor=fill, permc_spec=orders[0])
+
+    @pytest.mark.parametrize("dims", [(8, 6), (12, 8)], ids=["dpo-8-6", "dpo-12-8"])
+    def test_pool_size_leaves_solution_and_probe_bit_identical(self, dims, monkeypatch):
+        # one CPU leaves one pool worker; four let every other sector's
+        # check run beside the population solve
+        model = _dpo(dims)
+        real_steady_ilu = evolve._steady_ilu
+        runs = []
+
+        def recording(*args):
+            runs.append(real_steady_ilu(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(evolve, "_steady_ilu", recording)
+        for cpus in ({0, 1, 2, 3}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            evolve.steady_state(model)
+        (rho, probe), (rho_1, probe_1) = runs
+        assert np.array_equal(rho, rho_1) and np.array_equal(probe, probe_1)
+
+    def test_lowest_failing_sector_named(self, monkeypatch):
+        # every check of a sector without populations fails, after a random
+        # delay; the error named is always that of the lowest such sector
+        model = _dpo((8, 6))
+        d = model.space.total_dim
+        n, m = divmod(int(_real_sectors(model)[1][0][0]), d)
+        real_ilu_gmres = evolve._ilu_gmres
+        delays = np.random.default_rng(1)
+
+        def failing(A, rhs, rtol):
+            if np.count_nonzero(rhs) == 1:  # the population solve's trace row
+                return real_ilu_gmres(A, rhs, rtol)
+            time.sleep(delays.uniform(0.0, 0.02))
+            raise NumericsError("no rung converged")
+
+        monkeypatch.setattr(evolve, "_ilu_gmres", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for _ in range(5):
+            with pytest.raises(AmbiguityError, match=rf"from rho\[{n}, {m}\]"):
+                evolve.steady_state(model)
+
+    @pytest.mark.parametrize("method", STEADY_ROUTES)
+    def test_null_vector_in_im_half_of_population_set_detected(self, method):
+        # H and the dissipator are both sigma_y = i(a^dag - a): rho = 1/2 and
+        # sigma_y are both steady. sigma_y's coordinate Im rho_01 is the Im
+        # half of the population set, a sector of its own
+        space = fock.make_space([2])
+        a = fock.annihilation(space, 0)
+        sigma_y = 1j * (a.dag() - a)
+        model = models.ModelSpec(space, 0.3 * sigma_y, dissipators=((sigma_y, 0.5),))
+        assert [list(idx) for idx, _ in _real_sectors(model)] == [[0, 1, 3], [2]]
+        with pytest.raises(AmbiguityError):
+            evolve.steady_state(model, method=method)
