@@ -212,9 +212,8 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
                     t_eval=times, method="DOP853", rtol=LINDBLAD_RTOL, atol=LINDBLAD_ATOL)
     if not sol.success:
         raise NumericsError(f"Lindblad integration failed: {sol.message}")
-    states = [_check_density_sample(model.space, _density(sol.y[:, i], idx, d), t,
-                                    rho0.tail_mass)
-              for i, t in enumerate(times)]
+    states = [_check_density_sample(model.space, m, t, rho0.tail_mass)
+              for m, t in zip(_densities(sol.y.T, idx, d), times)]
     return EvolutionResult(model, times, states)
 
 
@@ -300,10 +299,9 @@ def _hermitian_basis(block: np.ndarray, d: int):
     return S, S_inv
 
 
-def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int):
+def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int) -> sp.csc_matrix:
     """L on a sector closed under rho -> rho^T, written in the real
-    coordinates of ``_hermitian_basis``, and the maps S back to rho and
-    S^-1 from it.
+    coordinates of ``_hermitian_basis``: S^-1 L S.
 
     A Lindblad generator preserves hermiticity, so S^-1 L S is real; an
     imaginary part beyond the hermiticity tolerance of the Hamiltonian
@@ -315,7 +313,7 @@ def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int):
     if abs(Lc.imag).max() > HERMITICITY_TOL * max(1.0, abs(Lr).max()):
         raise NumericsError("Liouvillian sector does not preserve hermiticity")
     Lr.eliminate_zeros()
-    return Lr, S, S_inv
+    return Lr
 
 
 def _real_sectors(L: sp.csr_matrix, blocks: list, d: int) -> list[tuple]:
@@ -330,28 +328,26 @@ def _real_sectors(L: sp.csr_matrix, blocks: list, d: int) -> list[tuple]:
     """
     pairs = []
     for block in blocks:
-        Lr = _real_block(L, block, d)[0]
+        Lr = _real_block(L, block, d)
         pairs += [(block[sub], Lr[sub][:, sub]) for sub in sectors(Lr)]
     return sorted(pairs, key=lambda pair: pair[0][0])
 
 
 def _real_coordinates(rho: np.ndarray) -> np.ndarray:
-    """Flat real coordinates of the hermitian part of rho, those of
-    ``_hermitian_basis``: Re rho_nm at rho_nm's position and Im rho_nm at
-    rho_mn's for n < m, and rho_nn at its own. ``_density`` inverts it."""
-    h = 0.5 * (rho + rho.conj().T)
-    return np.where(np.triu(np.ones(h.shape, dtype=bool)), h.real, h.imag.T).reshape(-1)
+    """Flat real coordinates of the hermitian part of rho: S^-1 of
+    ``_hermitian_basis`` on the whole space. ``_densities`` inverts it."""
+    d = rho.shape[0]
+    return (_hermitian_basis(np.arange(d * d), d)[1] @ rho.reshape(-1)).real
 
 
-def _density(x: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
-    """The hermitian d x d matrix whose real coordinates are x at the flat
-    positions ``idx`` and zero elsewhere. Every entry is one coordinate, or
-    one of them times +-i, so the map is exact."""
-    r = np.zeros(d * d)
-    r[idx] = x
-    r = r.reshape(d, d)
-    upper, lower = np.triu(r, 1), np.tril(r, -1)
-    return np.diag(np.diag(r)) + upper + upper.T + 1j * (lower.T - lower)
+def _densities(xs, idx: np.ndarray, d: int):
+    """The hermitian d x d matrices S x of ``_hermitian_basis`` on the whole
+    space, made one at a time, for each real vector x of ``xs`` given at the
+    flat positions ``idx`` and zero elsewhere. S is built once per call.
+    Every entry is one coordinate, or one of them times +-i, so the map is
+    exact."""
+    S = _hermitian_basis(np.arange(d * d), d)[0][:, idx]
+    return ((S @ x).reshape(d, d) for x in xs)
 
 
 def _trace_row_system(L: sp.csc_matrix, pops: np.ndarray, row: int):
@@ -396,7 +392,7 @@ def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int):
         except NumericsError as exc:
             raise NumericsError(f"degeneracy probe failed, so the null space is not shown "
                                 f"one-dimensional ({exc})") from exc
-    return _density(x, idx, d), _density(x2, idx, d)
+    return tuple(_densities((x, x2), idx, d))
 
 
 def _require_nonsingular(A: sp.csc_matrix, idx: np.ndarray, d: int):
@@ -431,19 +427,24 @@ def _run_sectors(jobs: list):
 
     The calling thread runs the population job while a pool of
     max(1, usable CPUs - 1) workers takes the others from the front of its
-    queue; the caller then takes back, from the end, every job that has not
-    started. Outcomes are read in sector order, so when several sectors fail
-    the lowest one's error is raised, whatever the timing.
+    queue, so no more threads run than there are sectors. The caller then
+    takes back, from the end, every job that has not started and runs it
+    while the workers finish theirs. A failing population job is the lowest
+    sector, so its error is raised; the other outcomes are read in sector
+    order, so when several sectors fail the lowest one's error is raised,
+    whatever the timing.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1)) as pool:
         futures = [pool.submit(job) for job in jobs[1:]]
-        futures.insert(0, _called(jobs[0]))
-        for k in reversed(range(1, len(futures))):
+        result = jobs[0]()
+        for k in reversed(range(len(futures))):
             if futures[k].cancel():
-                futures[k] = _called(jobs[k])
-    return [future.result() for future in futures][0]
+                futures[k] = _called(jobs[k + 1])
+    for future in futures:
+        future.result()
+    return result
 
 
 def _steady_dense(real: list, d: int) -> np.ndarray:
@@ -456,7 +457,7 @@ def _steady_dense(real: list, d: int) -> np.ndarray:
         null_count += int(np.sum(np.abs(evals) < 1e-9))
         if k == 0:
             # a simple real eigenvalue has a real eigenvector
-            rho = _density(evecs[:, np.argmin(np.abs(evals))].real, idx, d)
+            rho, = _densities([evecs[:, np.argmin(np.abs(evals))].real], idx, d)
     if null_count > 1:
         raise AmbiguityError(
             f"Liouvillian null space is {null_count}-dimensional; steady state ambiguous")

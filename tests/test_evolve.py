@@ -391,7 +391,7 @@ class TestSteadyState:
         Lc = S_inv @ L[population][:, population] @ S
         assert abs(Lc.imag).max() == 0.0
         assert abs(S_inv @ S - scipy.sparse.identity(len(population))).max() == 0.0
-        Lr, _, _ = evolve._real_block(L, population, d)
+        Lr = evolve._real_block(L, population, d)
         assert Lr.dtype == np.float64
         assert abs(Lr - Lc.real).max() == 0.0
 
