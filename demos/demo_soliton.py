@@ -11,9 +11,7 @@ from nlo_quanta import soliton
 
 N0 = 25
 G3 = -0.05
-width = soliton.FWHM_FACTOR * 2.0 / (abs(G3) * (N0 - 1))
-grid = soliton.SpatialGrid(extent=24 * width, points=1024)
-fiber = soliton.FiberParams(omega1_dblprime=2.0, g3=G3, grid=grid)
+fiber = soliton.soliton_fiber(2.0, G3, N0, 24, 1024)
 
 print("=== Hartree soliton family ===")
 print(f"{'n':>4} {'sech scale w':>13} {'FWHM':>8} {'phase rate':>11}")
@@ -26,9 +24,9 @@ print()
 print("=== split-step propagation over one soliton period ===")
 profile = soliton.classical_soliton_profile(N0, 0.0, 0.0, fiber, 0.0)
 period = fiber.soliton_period(N0)
-steps = int(np.ceil(period / (grid.dx ** 2 / (np.pi * fiber.omega1_dblprime))))
+steps = fiber.guided_steps(period)
 out = soliton.split_step_nlse(profile, fiber, period, steps)
-shape_dev = np.sqrt(np.sum((np.abs(out.values) - np.abs(profile.values)) ** 2) * grid.dx)
+shape_dev = np.sqrt(np.sum((np.abs(out.values) - np.abs(profile.values)) ** 2) * fiber.grid.dx)
 print(f"period = {period:.3f}, steps = {steps}")
 print(f"norm^2: {profile.norm_sq():.12f} -> {out.norm_sq():.12f}")
 print(f"|psi| shape deviation (L2): {shape_dev:.2e}  (soliton propagates unchanged)")

@@ -353,10 +353,8 @@ def run_downconv(p: dict):
 
 
 def run_soliton(p: dict):
-    g3 = p["g3"]
-    width = soliton.FWHM_FACTOR * p["omega1_dblprime"] / (abs(g3) * (p["n0"] - 1))
-    grid = soliton.SpatialGrid(extent=p["grid_widths"] * width, points=p["grid_points"])
-    fiber = soliton.FiberParams(p["omega1_dblprime"], g3, grid)
+    fiber = soliton.soliton_fiber(p["omega1_dblprime"], p["g3"], p["n0"],
+                                  p["grid_widths"], p["grid_points"])
     period = fiber.soliton_period(p["n0"])
     t_final = p["periods"] * period
     steps = p["steps"] or fiber.guided_steps(t_final)
@@ -366,7 +364,7 @@ def run_soliton(p: dict):
     outs = [profile] + soliton.split_step_snapshots(
         profile, fiber, snap_times[1:],
         [max(1, int(round(steps * (st / t_final)))) for st in snap_times[1:]])
-    columns = [("x", "m", list(grid.x))]
+    columns = [("x", "m", list(fiber.grid.x))]
     columns += [(f"abs_psi_t{i}", "1/sqrt(m)", list(np.abs(out.values)))
                 for i, out in enumerate(outs)]
     peaks = [out.peak() for out in outs]

@@ -2,10 +2,8 @@
 
 Numerical routes
 ----------------
-* Static Hamiltonians: exact eigendecomposition below ``DENSE_EVOLVE_DIM``,
+* Unitary evolution: exact eigendecomposition below ``DENSE_EVOLVE_DIM``,
   Krylov ``expm_multiply`` above it.
-* Time-dependent (rotating-term) Hamiltonians: adaptive DOP853 with local
-  error <= 1e-10.
 * Master equation: L is block diagonal over the sectors of its pattern
   joined with rho -> rho^T (``_closed_sectors``), e.g. the n_a - m_a parity
   classes of the parametric oscillator, or a coherence order and its
@@ -71,19 +69,13 @@ class EvolutionResult:
         return np.array([expectation(s, op) for s in self.states])
 
 
-def _require_forward_times(times):
-    """The ODE routes anchor the initial state at t = 0 and integrate
-    forward, so sample times must be nondecreasing and nonnegative."""
-    if times.min() < 0.0 or np.any(np.diff(times) < 0.0):
-        raise ContractError("ODE-based evolution needs nondecreasing times >= 0")
-
-
 def evolve_pure(model: ModelSpec, psi0: QuantumState, times) -> EvolutionResult:
     """Schroedinger evolution psi(t) = U(t) psi0 for a dissipation-free model.
 
-    Raises ContractError if the model carries dissipators or psi0 is not
-    pure; raises NumericsError if any sampled state's norm drifts beyond
-    1e-9.
+    Sample times may be any reals, unsorted and negative ones included;
+    psi0 is the state at t = 0. Raises ContractError if the model carries
+    dissipators or psi0 is not pure; raises NumericsError if any sampled
+    state's norm drifts beyond 1e-9.
     """
     if model.dissipators:
         raise ContractError("evolve_pure requires a model without dissipators")
@@ -94,42 +86,22 @@ def evolve_pure(model: ModelSpec, psi0: QuantumState, times) -> EvolutionResult:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     dim = model.space.total_dim
 
-    if not model.is_time_dependent:
-        if dim <= DENSE_EVOLVE_DIM:
-            H = model.hamiltonian.dense()
-            evals, evecs = np.linalg.eigh(H)
-            coeff = evecs.conj().T @ psi0.data
-            vecs = [evecs @ (np.exp(-1j * evals * t) * coeff) for t in times]
-        else:
-            H = model.hamiltonian.sparse()
-            vecs = []
-            psi = psi0.data.astype(complex)
-            t_prev = 0.0
-            for t in times:
-                dt = t - t_prev
-                if dt != 0.0:
-                    psi = spla.expm_multiply((-1j * dt) * H, psi)
-                    t_prev = t
-                vecs.append(psi.copy())
-    elif np.all(times == 0.0):
-        vecs = [psi0.data.astype(complex) for _ in times]
+    if dim <= DENSE_EVOLVE_DIM:
+        H = model.hamiltonian.dense()
+        evals, evecs = np.linalg.eigh(H)
+        coeff = evecs.conj().T @ psi0.data
+        vecs = [evecs @ (np.exp(-1j * evals * t) * coeff) for t in times]
     else:
-        _require_forward_times(times)
-        Hbase = model.hamiltonian.sparse()
-        terms = [(rt.operator.sparse(), rt.frequency) for rt in model.rotating_terms]
-        dags = [(O.conj().T.tocsr(), np.conj(nu)) for O, nu in terms]
-
-        def rhs(t, y):
-            hy = Hbase @ y
-            for (O, nu), (Od, nud) in zip(terms, dags):
-                hy = hy + np.exp(1j * nu * t) * (O @ y) + np.exp(-1j * nud * t) * (Od @ y)
-            return -1j * hy
-
-        sol = solve_ivp(rhs, (0.0, times.max()), psi0.data.astype(complex),
-                        t_eval=times, method="DOP853", rtol=1e-11, atol=1e-12)
-        if not sol.success:
-            raise NumericsError(f"pure-state integration failed: {sol.message}")
-        vecs = [sol.y[:, i] for i in range(sol.y.shape[1])]
+        H = model.hamiltonian.sparse()
+        vecs = []
+        psi = psi0.data.astype(complex)
+        t_prev = 0.0
+        for t in times:
+            dt = t - t_prev
+            if dt != 0.0:
+                psi = spla.expm_multiply((-1j * dt) * H, psi)
+                t_prev = t
+            vecs.append(psi.copy())
 
     states = []
     for t, v in zip(times, vecs):
@@ -150,8 +122,6 @@ def liouvillian(model: ModelSpec) -> sp.csr_matrix:
     Uses the convention Lambda(rho) = gamma (2 A rho A-dag - A-dag A rho
     - rho A-dag A): amplitudes decay at gamma, photon numbers at 2*gamma.
     """
-    if model.is_time_dependent:
-        raise ContractError("Liouvillian construction needs a static Hamiltonian")
     d = model.space.total_dim
     I = sp.identity(d, format="csr", dtype=complex)
     H = model.hamiltonian.sparse()
@@ -192,13 +162,16 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
     population sector of the parametric oscillator, 930 of the 1800
     entries of its transpose-closed set at dims (10, 6). Each sample maps
     back to an exactly hermitian rho. Trace drift of ``TRACE_TOL`` or more
-    raises NumericsError.
+    raises NumericsError. DOP853 starts from rho0 at t = 0 and runs
+    forward, so sample times must be nondecreasing and >= 0, or
+    ContractError is raised.
     """
     if rho0.space != model.space:
         raise ContractError("state and model live on different spaces")
     rho0 = rho0.as_density_state()
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    _require_forward_times(times)
+    if times.min() < 0.0 or np.any(np.diff(times) < 0.0):
+        raise ContractError("Lindblad evolution needs nondecreasing times >= 0")
     d = model.space.total_dim
     L = liouvillian(model)
     if np.all(times == 0.0):

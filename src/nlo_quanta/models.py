@@ -32,16 +32,8 @@ CHARGE_COMMUTATOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class RotatingTerm:
-    """One rotating contribution O e^{i nu t} + O-dag e^{-i conj(nu) t}."""
-
-    operator: FieldOperator
-    frequency: complex
-
-
-@dataclass(frozen=True)
 class ModelSpec:
-    """A Hamiltonian with optional rotating terms, dissipators, and charges.
+    """A static Hamiltonian with optional dissipators and charges.
 
     ``kind`` and ``params`` name the constructor and its arguments; whether
     the free-field part is removed (interaction picture) is in its docstring.
@@ -49,7 +41,6 @@ class ModelSpec:
 
     space: SpaceDescriptor
     hamiltonian: FieldOperator
-    rotating_terms: tuple[RotatingTerm, ...] = ()
     dissipators: tuple[tuple[FieldOperator, float], ...] = ()
     charges: dict = field(default_factory=dict)
     kind: str = "custom"
@@ -57,8 +48,6 @@ class ModelSpec:
 
     def __post_init__(self):
         defect = self.hamiltonian.hermiticity_defect()
-        if self.rotating_terms:
-            defect = max(defect, self.hamiltonian_at(0.731).hermiticity_defect())
         if defect >= HERMITICITY_TOL:
             raise ContractError(
                 f"Hamiltonian hermiticity defect {defect:.2e} beyond {HERMITICITY_TOL}")
@@ -70,18 +59,6 @@ class ModelSpec:
             if comm >= CHARGE_COMMUTATOR_TOL:
                 raise ContractError(
                     f"charge {name!r} does not commute with H: max|[H,M]| = {comm:.2e}")
-
-    @property
-    def is_time_dependent(self) -> bool:
-        return len(self.rotating_terms) > 0
-
-    def hamiltonian_at(self, t: float) -> FieldOperator:
-        """Hamiltonian evaluated at time t (hermitian for any t)."""
-        H = self.hamiltonian
-        for term in self.rotating_terms:
-            ph = np.exp(1j * term.frequency * t)
-            H = H + ph * term.operator + np.conj(ph) * term.operator.dag()
-        return H
 
     def charge(self, name: str) -> FieldOperator:
         if name not in self.charges:
@@ -225,20 +202,14 @@ def h_parametric_classical_pump(
     kappa: float,
     beta: complex,
     phi_p: float | None = None,
-    rotating_frame: bool = True,
-    omega: float = 0.0,
 ) -> ModelSpec:
     """Single-mode parametric model with the pump replaced by a c-number.
 
-    In the rotating frame (default; free field removed) the generator is the
-    static
+    In the frame rotating with the free field the generator is the static
 
         H_p = i (kappa/2) sqrt(N_p) [e^{i phi_p} (a-dag)^2 - e^{-i phi_p} a^2]
 
     with N_p = |beta|^2, so u = kappa*sqrt(N_p)*t is the squeeze parameter.
-    With ``rotating_frame=False`` the free term omega*n is kept and the
-    interaction rotates at 2*omega, handing the evolver a genuinely
-    time-dependent generator; both routes agree after undoing the frame.
 
     ``phi_p`` overrides the pump phase; by default it is arg(beta).
     """
@@ -251,16 +222,8 @@ def h_parametric_classical_pump(
     ad2 = a.dag() @ a.dag()
     gain = 0.5 * kappa * np.sqrt(np_pump)
     hp = (1j * gain) * (np.exp(1j * phase) * ad2 - np.exp(-1j * phase) * (ad2.dag()))
-    params = {"kappa": kappa, "n_pump": np_pump, "phi_p": phase, "omega": omega}
-    if rotating_frame:
-        return ModelSpec(space, hp, kind="parametric_pump", params=params)
-    nop = number_operator(space, 0)
-    rot = RotatingTerm(
-        operator=(1j * gain * np.exp(1j * phase)) * ad2,
-        frequency=-2.0 * omega,
-    )
-    return ModelSpec(space, omega * nop, rotating_terms=(rot,),
-                     kind="parametric_pump", params=params)
+    return ModelSpec(space, hp, kind="parametric_pump",
+                     params={"kappa": kappa, "n_pump": np_pump, "phi_p": phase})
 
 
 def h_chi2_displaced_pump(space: SpaceDescriptor, kappa: float, beta: complex) -> ModelSpec:

@@ -94,6 +94,15 @@ class FiberParams:
         return int(np.ceil(t / (self.grid.dx ** 2 / (np.pi * self.omega1_dblprime))))
 
 
+def soliton_fiber(omega1_dblprime: float, g3: float, n0: int, widths: float,
+                  points: int) -> FiberParams:
+    """Fiber whose grid spans ``widths`` FWHMs of the n0-photon soliton in
+    ``points`` samples."""
+    width = FWHM_FACTOR * omega1_dblprime / (abs(g3) * (n0 - 1))
+    grid = SpatialGrid(extent=widths * width, points=points)
+    return FiberParams(omega1_dblprime, g3, grid)
+
+
 @dataclass(frozen=True)
 class FieldProfile:
     """Complex field samples on a spatial grid."""

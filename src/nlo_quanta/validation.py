@@ -289,10 +289,7 @@ def check_dispersion_consistency() -> CheckResult:
 def soliton_acceptance_params(n0: int = 25) -> soliton.FiberParams:
     """Default acceptance fiber: paper-normalized dispersion (w'' = 2),
     g3 = -0.05, grid of 24 soliton widths and 1024 points."""
-    g3 = -0.05
-    width = soliton.FWHM_FACTOR * 2.0 / (abs(g3) * (n0 - 1))
-    grid = soliton.SpatialGrid(extent=24.0 * width, points=1024)
-    return soliton.FiberParams(omega1_dblprime=2.0, g3=g3, grid=grid)
+    return soliton.soliton_fiber(2.0, -0.05, n0, 24.0, 1024)
 
 
 def check_soliton_propagation() -> CheckResult:

@@ -99,20 +99,22 @@ class TestEvolvePure:
         m_series = res.expectation_series(model.charge("M")).real
         assert abs(m_series[1] - m_series[0]) < 1e-9
 
-    def test_time_dependent_route_matches_rotating_frame(self):
-        space = fock.make_space([30])
-        omega, kappa, beta = 0.9, 0.08, 12.0
-        static = models.h_parametric_classical_pump(space, kappa, beta)
-        lab = models.h_parametric_classical_pump(space, kappa, beta,
-                                                 rotating_frame=False, omega=omega)
-        u = 0.45
-        t = u / (kappa * beta)
-        vac = fock.vacuum_state(space)
-        st_static = evolve.evolve_pure(static, vac, [t]).states[0]
-        st_lab = evolve.evolve_pure(lab, vac, [t]).states[0]
-        undo = fock.mode_rotation(space, 0, omega * t)
-        st_back = fock.apply_operator(undo, st_lab)
-        assert np.abs(st_static.data - st_back.data).max() < 1e-9
+    def test_times_contract(self, monkeypatch):
+        # unitary routes take any real times; the Lindblad ODE only forward ones
+        space = fock.make_space([24, 24])
+        model = models.h_two_mode_chi2(space, 1.0, 0.3)
+        psi0 = fock.coherent_state(space, [0.0, 1.2])
+        times = [0.7, -0.4, 0.0, 1.3]
+        krylov = evolve.evolve_pure(model, psi0, times).states
+        monkeypatch.setattr(evolve, "DENSE_EVOLVE_DIM", space.total_dim)
+        dense = evolve.evolve_pure(model, psi0, times).states
+        for k, e in zip(krylov, dense):
+            assert np.abs(k.data - e.data).max() < 1e-12
+        assert np.abs(dense[2].data - psi0.data).max() < 1e-12
+        damped = _damped_number()
+        for bad in ([0.5, 0.2], [-0.1, 0.3]):
+            with pytest.raises(ContractError):
+                evolve.evolve_lindblad(damped, fock.vacuum_state(damped.space), bad)
 
     def test_rejects_dissipative_model(self):
         space = fock.make_space([5])

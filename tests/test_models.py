@@ -138,17 +138,6 @@ class TestParametricPump:
         m2 = models.h_parametric_classical_pump(space, 0.2, 3.0, phi_p=0.6)
         assert (m1.hamiltonian - m2.hamiltonian).max_abs() < 1e-13
 
-    def test_rotating_variant_matches_static_at_t0(self):
-        # Eq-(7.50)-style static generator equals the lab-frame H(t=0)
-        # minus its free part
-        space = fock.make_space([10])
-        static = models.h_parametric_classical_pump(space, 0.2, 4.0, rotating_frame=True)
-        lab = models.h_parametric_classical_pump(space, 0.2, 4.0, rotating_frame=False,
-                                                 omega=0.9)
-        h_lab0 = lab.hamiltonian_at(0.0)
-        free = 0.9 * fock.number_operator(space, 0)
-        assert (h_lab0 - free - static.hamiltonian).max_abs() < 1e-12
-
     def test_zero_pump_rejected(self):
         with pytest.raises(ParameterError):
             models.h_parametric_classical_pump(fock.make_space([8]), 0.2, 0.0)
@@ -203,10 +192,3 @@ class TestModelSpecValidation:
         bad_charge = fock.quadrature(space, 0, 0.0)
         with pytest.raises(ContractError):
             models.ModelSpec(space, h, charges={"bad": bad_charge})
-
-    def test_time_dependent_hermitian_at_all_times(self):
-        space = fock.make_space([8])
-        m = models.h_parametric_classical_pump(space, 0.2, 4.0, rotating_frame=False,
-                                               omega=0.9)
-        for t in (0.0, 0.37, 1.9):
-            assert m.hamiltonian_at(t).hermiticity_defect() < 1e-12

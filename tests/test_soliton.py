@@ -6,9 +6,7 @@ from nlo_quanta.errors import NumericsError, ParameterError, TruncationError
 
 
 def _fiber(n0=25, g3=-0.05, widths=24.0, points=1024):
-    width = soliton.FWHM_FACTOR * 2.0 / (abs(g3) * (n0 - 1))
-    grid = soliton.SpatialGrid(extent=widths * width, points=points)
-    return soliton.FiberParams(omega1_dblprime=2.0, g3=g3, grid=grid)
+    return soliton.soliton_fiber(2.0, g3, n0, widths, points)
 
 
 class TestG3FromFiber:
