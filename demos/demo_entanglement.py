@@ -54,7 +54,6 @@ for t, st in zip(result3.times, result3.states):
 
 print()
 print("=== conserved-charge fluctuation bounds along the trajectory ===")
-reports = dg.fluctuation_bounds(result3, "M1")
-rep = reports[0]
+rep = dg.fluctuation_bounds(result3, "M1")
 print("charge M1 = n_a - n_b: |Dn_a - Dn_b| stays", rep.delta_na.max(),
       "(bound", rep.upper[0], ")")

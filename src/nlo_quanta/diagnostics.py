@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericsError
 from .evolve import EvolutionResult
 from .fock import (
     FieldOperator,
@@ -96,24 +96,25 @@ def quadrature_squeezing(state: QuantumState, mode: int, phi: float) -> Criterio
     return _report("quadrature_squeezing", value, 0.25, "nonclassical")
 
 
-def duan_simon_sum(state: QuantumState, mode_a: int, mode_b: int) -> CriterionReport:
-    """Inseparability sum [D(x_a+x_b)]^2 + [D(p_a-p_b)]^2; entangled < 2."""
+def _epr_variances(state: QuantumState, mode_a: int, mode_b: int, name: str):
+    """The EPR pair ([D(x_a+x_b)]^2, [D(p_a-p_b)]^2) of two distinct modes."""
     if mode_a == mode_b:
-        raise ContractError("duan_simon_sum needs two distinct modes")
+        raise ContractError(f"{name} needs two distinct modes")
     xa, pa = _mode_quadratures(state.space, mode_a)
     xb, pb = _mode_quadratures(state.space, mode_b)
-    value = variance(state, xa + xb) + variance(state, pa - pb)
-    return _report("duan_simon_sum", value, 2.0, "entangled")
+    return variance(state, xa + xb), variance(state, pa - pb)
+
+
+def duan_simon_sum(state: QuantumState, mode_a: int, mode_b: int) -> CriterionReport:
+    """Inseparability sum [D(x_a+x_b)]^2 + [D(p_a-p_b)]^2; entangled < 2."""
+    var_x, var_p = _epr_variances(state, mode_a, mode_b, "duan_simon_sum")
+    return _report("duan_simon_sum", var_x + var_p, 2.0, "entangled")
 
 
 def epr_product(state: QuantumState, mode_a: int, mode_b: int) -> CriterionReport:
     """Product form [D(x_a+x_b)]^2 * [D(p_a-p_b)]^2; entangled < 1."""
-    if mode_a == mode_b:
-        raise ContractError("epr_product needs two distinct modes")
-    xa, pa = _mode_quadratures(state.space, mode_a)
-    xb, pb = _mode_quadratures(state.space, mode_b)
-    value = variance(state, xa + xb) * variance(state, pa - pb)
-    return _report("epr_product", value, 1.0, "entangled")
+    var_x, var_p = _epr_variances(state, mode_a, mode_b, "epr_product")
+    return _report("epr_product", var_x * var_p, 1.0, "entangled")
 
 
 def number_diff_criterion(state: QuantumState, mode_a: int, mode_b: int) -> CriterionReport:
@@ -135,8 +136,7 @@ def parity_test(state: QuantumState, mode: int = 0) -> CriterionReport:
     with <Q_o> < <Q'_e> is nonclassical. The report's ``value`` is
     <Q_o> - <Q'_e> with threshold 0.
     """
-    rho = partial_trace(state, [mode]) if state.space.n_modes > 1 else state
-    pops = np.real(np.diag(rho.density()))
+    pops = np.real(np.diag(partial_trace(state, [mode]).density()))
     q_odd = float(pops[1::2].sum())
     q_even_excited = float(pops[2::2].sum())
     return _report("parity_test", q_odd - q_even_excited, 0.0, "nonclassical",
@@ -150,7 +150,7 @@ def rotation_invariance(state: QuantumState, mode: int, n: int) -> float:
     """
     if n < 1:
         raise ContractError("symmetry order n must be >= 1")
-    rho = partial_trace(state, [mode]) if state.space.n_modes > 1 else state.as_density_state()
+    rho = partial_trace(state, [mode])
     u = mode_rotation(rho.space, 0, np.pi / n).dense()
     rotated = u @ rho.density() @ u.conj().T
     return float(np.abs(rho.density() - rotated).max())
@@ -163,13 +163,10 @@ def husimi_q(state: QuantumState, mode: int, grid: np.ndarray) -> np.ndarray:
     Values are nonnegative and integrate to 1 over the full plane.
     """
     grid = np.asarray(grid, dtype=complex)
-    rho = partial_trace(state, [mode]) if state.space.n_modes > 1 else state
+    rho = partial_trace(state, [mode]).density()
     # columns of V are truncated coherent vectors for each alpha
-    V, _ = _coherent_amplitudes(grid.ravel(), rho.space.dims[0])
-    if rho.is_pure:
-        q = np.abs(V.conj().T @ rho.data) ** 2
-    else:
-        q = np.real(np.einsum("ns,nm,ms->s", V.conj(), rho.density(), V))
+    V, _ = _coherent_amplitudes(grid.ravel(), rho.shape[0])
+    q = np.real(np.einsum("ns,nm,ms->s", V.conj(), rho, V))
     return (q / np.pi).reshape(grid.shape)
 
 
@@ -189,10 +186,10 @@ def husimi_grid(radius: float, points: int):
 class FluctuationBoundsReport:
     """Conservation-law number-fluctuation bounds along a trajectory.
 
-    ``lower``, ``upper`` bound the signal fluctuation ``delta_na`` at every
-    sample; ``slack`` is min(upper - delta_na, delta_na - lower) >= 0 when
-    the bounds hold. ``worst_violation`` is the most negative slack seen
-    (0 when every sample satisfies the bounds).
+    ``lower``, ``upper`` bound the fluctuation ``delta_na`` (|Dn_a - Dn_b|
+    for charge "M1") at every sample; ``slack`` is min(upper - delta_na,
+    delta_na - lower) >= 0 when the bounds hold. ``worst_violation`` is the
+    most negative slack seen (0 when every sample satisfies the bounds).
     """
 
     charge: str
@@ -207,71 +204,48 @@ class FluctuationBoundsReport:
 BOUND_VIOLATION_TOL = 1e-9
 
 
-def fluctuation_bounds(evolution: EvolutionResult, charge: str) -> list:
+def fluctuation_bounds(evolution: EvolutionResult, charge: str) -> FluctuationBoundsReport:
     """Check the conserved-charge bounds on photon-number fluctuations.
 
-    For the degenerate two-mode model (charge "M", and "Mn" with
-    multiplicity n) the bound is
+    For the n-photon model (kind "nphoton", charge "M" = n_a + n n_b) the
+    bound is
 
         n Dn_b(t) + DM(0) >= Dn_a(t) >= |n Dn_b(t) - DM(0)|,
 
     while the three-mode model tests the pump/signal and pump/idler pairs
     through K1 = n_c + n_a, K2 = n_c + n_b (charges "K1"/"K2") and the
-    signal/idler relation DM1(0) >= |Dn_a(t) - Dn_b(t)| (charge "M1").
-    Returns a list of FluctuationBoundsReport; a violation beyond 1e-9
-    raises NumericsError since it signals an evolution bug.
+    signal/idler relation DM1(0) >= |Dn_a(t) - Dn_b(t)| >= 0 (charge "M1").
+    Returns one FluctuationBoundsReport; a violation beyond 1e-9 raises
+    NumericsError since it signals an evolution bug.
     """
-    from .errors import NumericsError
-
     model = evolution.model
-    if charge not in model.charges:
-        raise ContractError(f"evolution's model carries no charge named {charge!r}")
-    times = evolution.times
-    states = evolution.states
 
-    def dev(op):
-        return np.array([np.sqrt(max(variance(s, op), 0.0)) for s in states])
+    def dev(mode):
+        op = number_operator(model.space, mode)
+        return np.array([np.sqrt(max(variance(s, op), 0.0)) for s in evolution.states])
 
-    reports = []
-    if model.kind in ("two_mode_chi2", "nphoton") and charge in ("M", "Mn"):
-        mult = 2.0 if model.kind == "two_mode_chi2" else float(model.params["n"])
-        dm0 = np.sqrt(max(variance(states[0], model.charge(charge)), 0.0))
-        dna = dev(number_operator(model.space, 0))
-        dnb = dev(number_operator(model.space, 1))
-        upper = mult * dnb + dm0
-        lower = np.abs(mult * dnb - dm0)
-        slack = np.minimum(upper - dna, dna - lower)
-        reports.append(FluctuationBoundsReport(
-            charge, times, dna, lower, upper, slack, float(min(slack.min(), 0.0))))
-    elif model.kind == "three_mode_chi2":
-        dnc = dev(number_operator(model.space, 0))
-        dna = dev(number_operator(model.space, 1))
-        dnb = dev(number_operator(model.space, 2))
-        if charge in ("K1", "K2"):
-            dk0 = np.sqrt(max(variance(states[0], model.charge(charge)), 0.0))
-            target = dna if charge == "K1" else dnb
-            upper = dnc + dk0
-            lower = np.abs(dnc - dk0)
-            slack = np.minimum(upper - target, target - lower)
-            reports.append(FluctuationBoundsReport(
-                charge, times, target, lower, upper, slack, float(min(slack.min(), 0.0))))
-        elif charge == "M1":
-            dm0 = np.sqrt(max(variance(states[0], model.charge("M1")), 0.0))
-            diff = np.abs(dna - dnb)
-            upper = np.full_like(diff, dm0)
-            slack = upper - diff
-            reports.append(FluctuationBoundsReport(
-                charge, times, diff, np.zeros_like(diff), upper, slack,
-                float(min(slack.min(), 0.0))))
-        else:
-            raise ContractError(f"no fluctuation bound is defined for charge {charge!r}")
+    d0 = np.sqrt(max(variance(evolution.states[0], model.charge(charge)), 0.0))
+
+    def band(partner):
+        return np.abs(partner - d0), partner + d0
+
+    if model.kind == "nphoton" and charge == "M":
+        target = dev(0)
+        lower, upper = band(float(model.params["n"]) * dev(1))
+    elif model.kind == "three_mode_chi2" and charge in ("K1", "K2"):
+        target = dev(1 if charge == "K1" else 2)
+        lower, upper = band(dev(0))
+    elif model.kind == "three_mode_chi2" and charge == "M1":
+        target = np.abs(dev(1) - dev(2))
+        lower, upper = np.zeros_like(target), np.full_like(target, d0)
     else:
         raise ContractError(
             f"no fluctuation bound is defined for model {model.kind!r} / charge {charge!r}")
-
-    for rep in reports:
-        if rep.worst_violation < -BOUND_VIOLATION_TOL:
-            raise NumericsError(
-                f"fluctuation bound for {rep.charge} violated by {-rep.worst_violation:.2e}; "
-                "this indicates an evolution bug")
-    return reports
+    slack = np.minimum(upper - target, target - lower)
+    worst = float(min(slack.min(), 0.0))
+    if worst < -BOUND_VIOLATION_TOL:
+        raise NumericsError(
+            f"fluctuation bound for {charge} violated by {-worst:.2e}; "
+            "this indicates an evolution bug")
+    return FluctuationBoundsReport(
+        charge, evolution.times, target, lower, upper, slack, worst)

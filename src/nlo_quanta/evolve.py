@@ -53,6 +53,8 @@ TRACE_TOL = 1e-8
 STEADY_RESIDUAL_TOL = 1e-10
 LINDBLAD_RTOL = 1e-10
 LINDBLAD_ATOL = 1e-12
+# clip noise, not faults: DPO (10, 6) transients near threshold reach -2.2e-8
+NEGATIVE_EIGENVALUE_LIMIT = 1e-6
 
 
 @dataclass
@@ -139,12 +141,16 @@ def _check_density_sample(space, m, t, tail):
     tr = complex(np.trace(m))
     if abs(tr - 1.0) >= TRACE_TOL:
         raise NumericsError(f"trace drift {abs(tr - 1.0):.2e} at t={t} exceeds {TRACE_TOL}")
-    return QuantumState(space, "density", _clip_negative_eigenvalues(m / tr.real), tail)
+    return QuantumState(space, "density", _clip_negative_eigenvalues(m / tr.real, f"t={t}"), tail)
 
 
-def _clip_negative_eigenvalues(m):
-    """``m`` with eigenvalues <= -NEGATIVE_EIGENVALUE_FLOOR (noise) clipped to 0, renormalized."""
+def _clip_negative_eigenvalues(m, where: str):
+    """``m`` with eigenvalues <= -NEGATIVE_EIGENVALUE_FLOOR (noise) clipped to 0, renormalized;
+    one below -NEGATIVE_EIGENVALUE_LIMIT raises NumericsError naming ``where``."""
     w, v = np.linalg.eigh(m)
+    if w.min() < -NEGATIVE_EIGENVALUE_LIMIT:
+        raise NumericsError(f"density eigenvalue {w.min():.2e} at {where} is below "
+                            f"-{NEGATIVE_EIGENVALUE_LIMIT}")
     if w.min() <= -NEGATIVE_EIGENVALUE_FLOOR:
         w = np.clip(w, 0.0, None)
         m = (v * w) @ v.conj().T
@@ -502,4 +508,4 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
         probe = probe / np.trace(probe).real
         if float(np.abs(probe - rho).max()) > 1e-6:
             raise AmbiguityError("Liouvillian null space appears degenerate (>= 2)")
-    return QuantumState(model.space, "density", _clip_negative_eigenvalues(rho))
+    return QuantumState(model.space, "density", _clip_negative_eigenvalues(rho, "steady state"))

@@ -81,7 +81,6 @@ def two_level_polarization_cubic(p: TwoLevelParams) -> float:
 def chi1_two_level(p: TwoLevelParams) -> float:
     """Linear susceptibility chi^(1) = -hbar g^2 / (eps0 delta) (unit atomic
     density; scale by n for a medium of n atoms / m^3)."""
-    _require_detuned(p)
     return float(-HBAR * p.g ** 2 / (EPS0 * p.delta))
 
 
@@ -89,13 +88,7 @@ def chi3_two_level(p: TwoLevelParams) -> float:
     """Third-order susceptibility chi^(3)(-nu, nu, nu) = hbar g^4 /
     (3 pi eps0 delta^3) in the symmetric Fourier convention (unit atomic
     density). Falls off as 1/delta^3."""
-    _require_detuned(p)
     return float(HBAR * p.g ** 4 / (3.0 * np.pi * EPS0 * p.delta ** 3))
-
-
-def _require_detuned(p: TwoLevelParams):
-    if p.delta == 0.0:
-        raise DomainError("susceptibilities are singular at delta = 0")
 
 
 def chi2_mixing_spectrum(tones, chi2: float) -> list[tuple[float, float]]:

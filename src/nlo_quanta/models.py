@@ -35,8 +35,9 @@ CHARGE_COMMUTATOR_TOL = 1e-10
 class ModelSpec:
     """A static Hamiltonian with optional dissipators and charges.
 
-    ``kind`` and ``params`` name the constructor and its arguments; whether
-    the free-field part is removed (interaction picture) is in its docstring.
+    ``kind`` names the model family and ``params`` its arguments (a special
+    case such as ``h_two_mode_chi2`` returns its family's); whether the
+    free-field part is removed (interaction picture) is in each docstring.
     """
 
     space: SpaceDescriptor
@@ -76,24 +77,10 @@ def h_two_mode_chi2(space: SpaceDescriptor, omega: float, kappa: float) -> Model
 
         H = omega n_a + 2 omega n_b + kappa [(a-dag)^2 b + a^2 b-dag]
 
-    Modes are (signal a, pump b) = (0, 1). The conserved charge
-    M = n_a + 2 n_b is attached under the name "M". The charge commutes with
-    H exactly even under truncation because the retained couplings stay
-    within fixed M shells.
+    The n = 2 case of :func:`h_nphoton`: kind "nphoton", params
+    {"omega", "kappa_n": kappa, "n": 2} and charge "M" = n_a + 2 n_b.
     """
-    _require_modes(space, 2, "h_two_mode_chi2")
-    a = annihilation(space, 0)
-    b = annihilation(space, 1)
-    na, nb = number_operator(space, 0), number_operator(space, 1)
-    hint = a.dag() @ a.dag() @ b
-    H = omega * na + (2.0 * omega) * nb + kappa * (hint + hint.dag())
-    M = na + 2.0 * nb
-    return ModelSpec(
-        space, H,
-        charges={"M": M},
-        kind="two_mode_chi2",
-        params={"omega": omega, "kappa": kappa},
-    )
+    return h_nphoton(space, omega, kappa, 2)
 
 
 def h_three_mode_chi2(space: SpaceDescriptor, omega1: float, omega2: float,
@@ -170,9 +157,10 @@ def h_nphoton(space: SpaceDescriptor, omega: float, kappa_n: float, n: int) -> M
 
         H = omega n_a + n*omega n_b + kappa_n [(a-dag)^n b + a^n b-dag]
 
-    One pump photon at n*omega converts into n signal photons. The conserved
-    charge M_n = n_a + n n_b is attached as "Mn". Modes are
-    (signal a, pump b) = (0, 1). The signal truncation must exceed n.
+    One pump photon at n*omega converts into n signal photons. The charge
+    M = n_a + n n_b is attached as "M" for every n; it commutes with H even
+    under truncation, as the couplings stay within fixed M shells. Modes
+    are (signal a, pump b) = (0, 1). The signal truncation must exceed n.
     """
     _require_modes(space, 2, "h_nphoton")
     if int(n) != n or n < 2:
@@ -191,7 +179,7 @@ def h_nphoton(space: SpaceDescriptor, omega: float, kappa_n: float, n: int) -> M
     H = omega * na + (n * omega) * nb + kappa_n * (hint + hint.dag())
     return ModelSpec(
         space, H,
-        charges={"Mn": na + float(n) * nb},
+        charges={"M": na + float(n) * nb},
         kind="nphoton",
         params={"omega": omega, "kappa_n": kappa_n, "n": n},
     )

@@ -16,7 +16,7 @@ off its row at its own step count and checked for finiteness once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft
@@ -78,7 +78,9 @@ class FiberParams:
         return self.omega1_dblprime / (abs(self.g3) * (n - 1))
 
     def soliton_fwhm(self, n: int) -> float:
-        return FWHM_FACTOR * self.sech_scale(n)
+        """Intensity FWHM 2 arccosh(sqrt 2) w of the n-photon soliton."""
+        self.sech_scale(n)  # checks n and g3
+        return FWHM_FACTOR * self.omega1_dblprime / (abs(self.g3) * (n - 1))
 
     def phase_rate(self, n: int) -> float:
         """Nonlinear phase rate mu_n of the n-photon profile: the profile
@@ -98,9 +100,8 @@ def soliton_fiber(omega1_dblprime: float, g3: float, n0: int, widths: float,
                   points: int) -> FiberParams:
     """Fiber whose grid spans ``widths`` FWHMs of the n0-photon soliton in
     ``points`` samples."""
-    width = FWHM_FACTOR * omega1_dblprime / (abs(g3) * (n0 - 1))
-    grid = SpatialGrid(extent=widths * width, points=points)
-    return FiberParams(omega1_dblprime, g3, grid)
+    fiber = FiberParams(omega1_dblprime, g3)
+    return replace(fiber, grid=SpatialGrid(extent=widths * fiber.soliton_fwhm(n0), points=points))
 
 
 @dataclass(frozen=True)

@@ -94,10 +94,7 @@ def check_conservation_and_parity() -> CheckResult:
     result = evolve.evolve_pure(model, psi0, times)
     m_series = result.expectation_series(model.charge("M")).real
     drift = float(np.abs(m_series - m_series[0]).max())
-    odd = 0.0
-    for state in result.states:
-        pops = np.real(np.diag(fock.partial_trace(state, [0]).density()))
-        odd = max(odd, float(pops[1::2].sum()))
+    odd = max(dg.parity_test(state, 0).extras_dict()["q_odd"] for state in result.states)
     return _result(3, "charge conservation and signal parity",
                    drift < 1e-10 and odd < 1e-10,
                    {"M_drift": drift, "max_odd_population": odd,

@@ -235,8 +235,7 @@ class TestFluctuationBounds:
         model = models.h_two_mode_chi2(space, 1.0, 0.35)
         res = evolve.evolve_pure(model, fock.fock_state(space, (0, 4)),
                                  np.linspace(0.0, 2.5, 6))
-        reports = dg.fluctuation_bounds(res, "M")
-        rep = reports[0]
+        rep = dg.fluctuation_bounds(res, "M")
         assert rep.worst_violation > -1e-9
         np.testing.assert_allclose(rep.delta_na, rep.upper, atol=1e-9)
 
@@ -245,9 +244,19 @@ class TestFluctuationBounds:
         model = models.h_two_mode_chi2(space, 1.0, 0.4)
         res = evolve.evolve_pure(model, fock.coherent_state(space, [0.0, 1.2]),
                                  np.linspace(0.0, 4.0, 9))
-        rep = dg.fluctuation_bounds(res, "M")[0]
+        rep = dg.fluctuation_bounds(res, "M")
         assert rep.worst_violation > -1e-9
         assert rep.slack.min() > -1e-9
+
+    def test_three_photon_coherent_pump_bounds_hold(self):
+        space = fock.make_space([18, 12])
+        model = models.h_nphoton(space, 1.0, 0.1, 3)
+        res = evolve.evolve_pure(model, fock.coherent_state(space, [0.0, 0.8]),
+                                 np.linspace(0.0, 3.0, 7))
+        rep = dg.fluctuation_bounds(res, "M")
+        assert rep.worst_violation > -1e-9
+        np.testing.assert_array_less(rep.lower - 1e-9, rep.delta_na)
+        np.testing.assert_array_less(rep.delta_na, rep.upper + 1e-9)
 
     def test_three_mode_bounds(self):
         space = fock.make_space([16, 10, 10])
@@ -255,17 +264,28 @@ class TestFluctuationBounds:
         res = evolve.evolve_pure(model, fock.coherent_state(space, [1.2, 0.0, 0.0]),
                                  np.linspace(0.0, 3.0, 7))
         for charge in ("K1", "K2", "M1"):
-            rep = dg.fluctuation_bounds(res, charge)[0]
+            rep = dg.fluctuation_bounds(res, charge)
             assert rep.worst_violation > -1e-9
         # double vacuum signal/idler: Dn_a(t) = Dn_b(t)
-        m1 = dg.fluctuation_bounds(res, "M1")[0]
+        m1 = dg.fluctuation_bounds(res, "M1")
         np.testing.assert_allclose(m1.delta_na, 0.0, atol=1e-9)
+
+    def test_m1_slack_is_two_sided(self):
+        space = fock.make_space([16, 10, 10])
+        model = models.h_three_mode_chi2(space, 0.6, 0.4, 0.3)
+        res = evolve.evolve_pure(model, fock.coherent_state(space, [1.2, 0.5, 0.3]),
+                                 np.linspace(0.0, 2.0, 5))
+        rep = dg.fluctuation_bounds(res, "M1")
+        assert rep.upper[0] > 0.1  # DM1(0) > 0
+        np.testing.assert_array_equal(
+            rep.slack, np.minimum(rep.upper - rep.delta_na, rep.delta_na - rep.lower))
+        assert (rep.slack < rep.upper - rep.delta_na).any()
 
     def test_t0_saturation(self):
         space = fock.make_space([16, 16])
         model = models.h_two_mode_chi2(space, 1.0, 0.4)
         res = evolve.evolve_pure(model, fock.coherent_state(space, [0.0, 1.2]), [0.0])
-        rep = dg.fluctuation_bounds(res, "M")[0]
+        rep = dg.fluctuation_bounds(res, "M")
         # at t = 0 the signal side vanishes and the bounds collapse
         assert abs(rep.delta_na[0]) < 1e-12
 

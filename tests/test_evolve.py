@@ -235,6 +235,12 @@ class TestEvolveLindblad:
         for st in res.states:
             assert abs(np.trace(st.data) - 1.0) < 1e-8
 
+    def test_large_negative_eigenvalue_raises(self):
+        space = fock.make_space([2])
+        with pytest.raises(NumericsError, match="t=0.5"):
+            evolve._check_density_sample(space, np.diag([1.001, -0.001]).astype(complex),
+                                         0.5, 0.0)
+
 
 def _dpo(dims):
     return models.dpo_model(fock.make_space(dims), 0.3, 0.8, 0.7, 0.9)
