@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 
@@ -88,6 +87,8 @@ def max_squeezing(n_pump: float) -> tuple[float, float]:
     values are cross-checked against a numerical 1-d minimization (root of
     the u-derivative) to 1e-10 before being returned.
     """
+    from scipy.optimize import brentq
+
     if n_pump <= 0:
         raise ParameterError("pump photon number must be positive")
     u_star = 0.25 * np.log(16.0 * n_pump)

@@ -30,6 +30,13 @@ Numerical routes
   put last leaves some ILU rungs exactly singular. A sector that no ILU
   rung solves is taken to be singular and raises AmbiguityError. A dense
   eigendecomposition per real sector is the slow reference.
+
+``scipy.integrate`` is imported on the first transient, not with this
+module: no CLI command and no acceptance criterion integrates one, and the
+import (which also loads ``scipy.optimize``, ``scipy.special`` and
+``scipy.fft``) would otherwise be paid by every run. ``solve_ivp`` stays a
+module-level name so that a tracer can wrap it, as it wraps ``np`` and
+``spla``.
 """
 
 from __future__ import annotations
@@ -41,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .errors import AmbiguityError, ContractError, NumericsError
-from .fock import HERMITICITY_TOL, NEGATIVE_EIGENVALUE_FLOOR, FieldOperator, QuantumState, sectors
+from .fock import (HERMITICITY_TOL, NEGATIVE_EIGENVALUE_FLOOR, FieldOperator, QuantumState,
+                   expectation, sectors)
 from .models import ModelSpec
 
 DENSE_EVOLVE_DIM = 512
@@ -66,8 +73,6 @@ class EvolutionResult:
     states: list
 
     def expectation_series(self, op: FieldOperator) -> np.ndarray:
-        from .fock import expectation
-
         return np.array([expectation(s, op) for s in self.states])
 
 
@@ -156,6 +161,18 @@ def _clip_negative_eigenvalues(m, where: str):
         m = (v * w) @ v.conj().T
         m = m / np.trace(m).real
     return m
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call.
+
+    A module-level function, not an import, so that loading this module
+    does not load ``scipy.integrate``, and a tracer can still wrap
+    ``evolve.solve_ivp`` by name.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionResult:

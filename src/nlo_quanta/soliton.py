@@ -12,14 +12,17 @@ with anomalous dispersion w'' > 0 and attractive g3 < 0 for bound solitons.
 Split-step snapshots march together: one row per distinct step dt, all rows
 advanced by one batched ``scipy.fft`` call per substep, each snapshot copied
 off its row at its own step count and checked for finiteness once.
+``scipy.fft`` is imported by the functions that transform, on first use,
+so that commands without a split step do not load it (nor the
+``scipy.special`` it brings).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import fft
 
 from .errors import ContractError, NumericsError, ParameterError, TruncationError
 
@@ -51,6 +54,8 @@ class SpatialGrid:
 
     @property
     def wavenumbers(self) -> np.ndarray:
+        from scipy import fft
+
         return 2.0 * np.pi * fft.fftfreq(self.points, d=self.dx)
 
 
@@ -197,6 +202,8 @@ def hartree_residual(n: int, p: FiberParams) -> float:
     Checks i dh/dt = -(w''/2) h'' + 2 g3 (n-1)|h|^2 h for the t = 0 profile
     using the spectral Laplacian; i dh/dt is mu_n h analytically.
     """
+    from scipy import fft
+
     prof = hartree_profile(n, 0.0, 0.0, p, 0.0)
     h = prof.values
     k = p.grid.wavenumbers
@@ -235,6 +242,8 @@ def split_step_snapshots(psi0: FieldProfile, p: FiberParams, times,
     copied off its row at its own step count; NumericsError is raised for
     the first snapshot (in input order) holding a non-finite sample.
     """
+    from scipy import fft
+
     if len(times) != len(n_steps):
         raise ContractError("times and n_steps must have the same length")
     if any(n < 1 for n in n_steps):
@@ -284,6 +293,8 @@ def split_step_snapshots(psi0: FieldProfile, p: FiberParams, times,
 def nlse_energy(profile: FieldProfile, p: FiberParams) -> float:
     """Discrete NLSE energy functional int [ (w''/2)|psi_x|^2 + g3 |psi|^4 ] dx,
     conserved by the exact flow."""
+    from scipy import fft
+
     k = profile.grid.wavenumbers
     psi_x = fft.ifft(1j * k * fft.fft(profile.values))
     dens = 0.5 * p.omega1_dblprime * np.abs(psi_x) ** 2 + p.g3 * np.abs(profile.values) ** 4
@@ -325,7 +336,7 @@ def mean_field(alpha: complex, p: FiberParams, t: float = 0.0) -> FieldProfile:
 
     # stable log Poisson weights e^{-n0} n0^n / n!
     ns = np.arange(n_lo, n_hi + 1)
-    logw = -n0 + ns * np.log(n0) - np.array([_log_factorial(int(n)) for n in ns])
+    logw = -n0 + ns * np.log(n0) - np.array([math.lgamma(n + 1.0) for n in ns])
     weights = np.exp(logw)
     tail_bound = max(0.0, 1.0 - float(weights.sum()))
 
@@ -353,12 +364,6 @@ def mean_field(alpha: complex, p: FiberParams, t: float = 0.0) -> FieldProfile:
         ("dephasing_threshold", 0.1),
         ("n0", float(n0)),
     ))
-
-
-def _log_factorial(n: int) -> float:
-    from math import lgamma
-
-    return lgamma(n + 1.0)
 
 
 def overlap_phase_model(n: int, p: FiberParams, t: float) -> complex:

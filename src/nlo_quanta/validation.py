@@ -13,7 +13,7 @@ import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.constants import epsilon_0, hbar
 
 from . import closed_form as cf
 from . import diagnostics as dg
@@ -66,6 +66,8 @@ def check_squeezed_vacuum_law() -> CheckResult:
 def check_max_squeezing_scaling() -> CheckResult:
     """2: numerical minimization of the phase-averaged variance reproduces
     u* = (1/4) ln(16 N_p) and var_min * 8 sqrt(N_p) = 1 to 1e-10."""
+    from scipy.optimize import brentq
+
     worst_u, worst_v = 0.0, 0.0
     for n_pump in (1e2, 1e4, 1e6):
         def dvar(u, n_pump=n_pump):
@@ -113,6 +115,7 @@ def _pair_state(theta: float) -> fock.QuantumState:
 def check_entanglement_minimum() -> CheckResult:
     """4: the pair-state inseparability sum attains 4 - 2 sqrt(2) at
     c0 = cos(pi/8) over the Bloch-angle scan."""
+    from scipy.optimize import brentq
 
     def dsum(theta):
         return dg.duan_simon_sum(_pair_state(theta), 0, 1).value
@@ -243,7 +246,6 @@ def check_two_level_susceptibilities() -> CheckResult:
         diffs.append(abs(media.two_level_polarization(p)
                          - media.two_level_polarization_cubic(p)) * e0)
     slope = float(np.polyfit(np.log(e0s), np.log(diffs), 1)[0])
-    from scipy.constants import epsilon_0, hbar
     p = media.TwoLevelParams(delta=0.7, gE=0.0, g=1.3)
     chi1_dev = abs(media.chi1_two_level(p) - (-hbar * 1.3 ** 2 / (epsilon_0 * 0.7)))
     chi3_dev = abs(media.chi3_two_level(p)
@@ -258,7 +260,6 @@ def check_dispersion_consistency() -> CheckResult:
     """9: dispersion roots satisfy their branch equation to 1e-12 relative;
     both mode-normalization forms agree to 1e-10 over a 100-point k sweep;
     finite-difference group velocity matches the analytic form to 1e-6."""
-    from scipy.constants import epsilon_0
     coeffs = media.DispersionCoeffs(
         beta_nu=1.0 / (2.25 * epsilon_0),
         beta_nu_prime=2e-27 / epsilon_0,

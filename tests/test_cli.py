@@ -37,6 +37,24 @@ class TestArgHandling:
         assert proc.returncode == cli.EXIT_USAGE
 
 
+def test_import_defers_optional_scipy_submodules():
+    # the CLI's start-up cost: these load on first use, not on import; the
+    # module names checked last are the ones a tracer swaps by name
+    probe = (
+        "import json, sys\n"
+        "import nlo_quanta.cli\n"
+        "from nlo_quanta import evolve, soliton\n"
+        "print(json.dumps({\n"
+        "    'loaded': [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft',\n"
+        "                           'scipy.special') if m in sys.modules],\n"
+        "    'names': [hasattr(evolve, 'np'), hasattr(evolve, 'spla'),\n"
+        "              callable(getattr(evolve, 'solve_ivp', None)), hasattr(soliton, 'np')]}))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"loaded": [], "names": [True, True, True, True]}
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
