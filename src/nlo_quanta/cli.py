@@ -102,6 +102,15 @@ def _fmt(x) -> str:
 
 
 def write_outputs(result: ScenarioResult, out_dir: str):
+    """Write each table's CSV and the run's meta JSON. A non-finite cell
+    raises NumericsError naming its table, column and row before any file
+    is written."""
+    for table in result.tables:
+        for name, _, values in table.columns:
+            bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+            if len(bad):
+                raise NumericsError(f"table {table.name}: column {name!r} is {values[bad[0]]} "
+                                    f"at row {bad[0]} ({len(bad)} non-finite cells)")
     os.makedirs(out_dir, exist_ok=True)
     cfg_hash = result.config.hash()
     for table in result.tables:
@@ -570,7 +579,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError) as exc:

@@ -83,26 +83,24 @@ def max_squeezing(n_pump: float) -> tuple[float, float]:
     """Best squeezing reachable under pump phase noise.
 
     Returns (u_star, var_min) = ((1/4) ln(16 N_p), 1/(8 sqrt(N_p))), the
-    minimizer and minimum of :func:`phase_averaged_var_x2`. The analytic
-    values are cross-checked against a numerical 1-d minimization (root of
-    the u-derivative) to 1e-10 before being returned.
+    minimizer and minimum of :func:`phase_averaged_var_x2`. Both are checked
+    before being returned: the u-derivative -e^{-2u}/2 + e^{2u}/(32 N_p)
+    vanishes at u_star to rounding (its two terms agree to 1e-12), and the
+    variance there equals var_min to 1e-10. The second derivative
+    e^{-2u} + e^{2u}/(16 N_p) is positive everywhere, so the variance is
+    strictly convex and that stationary point is its global minimum.
+    Criterion 2 checks the same optimum by numerical minimization.
     """
-    from scipy.optimize import brentq
-
     if n_pump <= 0:
         raise ParameterError("pump photon number must be positive")
     u_star = 0.25 * np.log(16.0 * n_pump)
     var_min = 1.0 / (8.0 * np.sqrt(n_pump))
-
-    def dvar(u):
-        return -np.exp(-2 * u) / 2.0 + np.exp(2 * u) / (32.0 * n_pump)
-
-    u_num = brentq(dvar, u_star - 2.0, u_star + 2.0, xtol=1e-14, rtol=8.9e-16)
-    var_num = phase_averaged_var_x2(u_num, n_pump)
-    if abs(u_num - u_star) >= 1e-10 or abs(var_num - var_min) >= 1e-10:
+    pull, push = np.exp(-2 * u_star) / 2.0, np.exp(2 * u_star) / (32.0 * n_pump)
+    var = phase_averaged_var_x2(u_star, n_pump)
+    if not (abs(push - pull) <= 1e-12 * pull and abs(var - var_min) < 1e-10):
         raise DomainError(
-            f"analytic optimum (u*={u_star}, var={var_min}) disagrees with numerical "
-            f"minimization (u*={u_num}, var={var_num})")
+            f"analytic optimum (u*={u_star}, var={var_min}) is not the variance's minimum: "
+            f"derivative {push - pull}, variance there {var}")
     return float(u_star), float(var_min)
 
 

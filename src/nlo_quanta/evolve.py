@@ -18,18 +18,19 @@ Numerical routes
   is deliberately off; trace drift is an error signal.
 * Steady states: exactly one real sector may hold populations rho_nn; it
   carries the steady state. The default route solves a trace-constrained
-  system on it with ILU-preconditioned GMRES, and every other real sector
-  must pass a preconditioned GMRES solve that shows it nonsingular, so a
-  traceless second null vector is caught too. The calling thread solves
-  the population sector while a thread pool of max(1, usable CPUs - 1)
+  system on it with ILU-preconditioned GMRES. That system and every other
+  real sector must pass one check, a preconditioned GMRES solve on a random
+  right-hand side that shows them nonsingular, so a second null vector is
+  caught whether or not it has trace. The calling thread solves the
+  population sector while a thread pool of max(1, usable CPUs - 1)
   workers checks the others (``_run_sectors``). Every ILU factors in the
   sector's own row-major order of rho, which is already banded
   (``permc_spec="NATURAL"``); minimum-degree reordering only adds fill
-  there. Under that order the solve's trace row stays rho_00's, the
-  block's first row, and the degeneracy probe's is rho_11's: a trace row
-  put last leaves some ILU rungs exactly singular. A sector that no ILU
-  rung solves is taken to be singular and raises AmbiguityError. A dense
-  eigendecomposition per real sector is the slow reference.
+  there. Under that order the trace row stays rho_00's, the block's first
+  row: a trace row put last leaves some ILU rungs exactly singular. A
+  sector that no ILU rung solves is taken to be singular and raises
+  AmbiguityError. A dense eigendecomposition per real sector is the slow
+  reference.
 
 ``scipy.integrate`` is imported on the first transient, not with this
 module: no CLI command and no acceptance criterion integrates one, and the
@@ -214,9 +215,9 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
 
 
 #: (drop_tol, fill_factor) rungs tried in order for the sector ILUs, which
-#: factor in band (NATURAL) order. With the trace rows on rho_00 (solve) and
-#: rho_11 (probe), every rung factors the DPO population systems from (6, 4)
-#: to (13, 15); on rho_{d-1,d-1}'s row the second rung is exactly singular.
+#: factor in band (NATURAL) order. With the trace row on rho_00, every rung
+#: factors the DPO population systems from (6, 4) to (13, 15); on
+#: rho_{d-1,d-1}'s row the second rung is exactly singular.
 ILU_LADDER = ((1e-1, 2), (3e-2, 2), (1e-3, 6))
 
 
@@ -226,7 +227,8 @@ def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
 
     A is factored in its given order (``permc_spec="NATURAL"``): a sector's
     row-major order of rho is banded, and minimum degree only adds fill.
-    The order also keeps a trace row where ``_steady_ilu`` puts it.
+    The order also keeps the trace row first, where ``_trace_row_system``
+    puts it.
 
     Returns the solution and the preconditioner; raises NumericsError when
     no rung converges.
@@ -346,57 +348,53 @@ def _densities(xs, idx: np.ndarray, d: int):
     return ((S @ x).reshape(d, d) for x in xs)
 
 
-def _trace_row_system(L: sp.csc_matrix, pops: np.ndarray, row: int):
-    """Copy of L with one row replaced by the trace functional, the sum of
-    the entries at ``pops``, set equal to 1."""
+def _trace_row_system(L: sp.csc_matrix, pops: np.ndarray):
+    """Copy of L with its first row, rho_00's, replaced by the trace
+    functional, the sum of the entries at ``pops``, set equal to 1."""
     n = L.shape[0]
     C = L.tocoo()
-    keep = C.row != row
-    rows = np.concatenate([C.row[keep], np.full(len(pops), row, dtype=C.row.dtype)])
+    keep = C.row != 0
+    rows = np.concatenate([C.row[keep], np.zeros(len(pops), dtype=C.row.dtype)])
     cols = np.concatenate([C.col[keep], pops.astype(C.col.dtype)])
     vals = np.concatenate([C.data[keep], np.ones(len(pops))])
     A = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
     rhs = np.zeros(n)
-    rhs[row] = 1.0
+    rhs[0] = 1.0
     return A, rhs
 
 
-def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int):
+def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int) -> np.ndarray:
     """Trace-constrained solve on the real population sector Lr of L, at
     the flat positions ``idx``: replace the row of rho_00 by Tr(rho) = 1,
-    precondition with an incomplete LU, and polish with GMRES.
+    precondition with an incomplete LU, and polish with GMRES. Returns the
+    density of the solution.
 
-    Returns the solution plus a second solve (constraint on the row of
-    rho_11) used as a degeneracy probe: for a one-dimensional null space
-    both systems share a unique solution. Both rows must be populations, the
-    entries the trace functional weighs; without the row of a coherence the
-    probe system is singular. Under the band order of the ILU a trace row
-    near the top keeps every rung nonsingular, where rho_{d-1,d-1}'s row
-    leaves some rungs exactly singular. When no rung solves the first
-    system the sector is taken to be singular (``_solve_sector``). A probe
-    that does not converge under the solve's preconditioner walks the ladder
-    on its own, and raises NumericsError when no rung serves.
+    The trace functional is a left null vector of Lr and is nonzero on
+    rho_00's row, so that system is nonsingular exactly when the null space
+    of Lr is one-dimensional and spanned by a state of nonzero trace; it is
+    shown nonsingular as every other sector is (``_require_nonsingular``),
+    first under the solve's preconditioner.
     """
-    pops = np.flatnonzero(idx // d == idx % d)
-    A, rhs = _trace_row_system(Lr, pops, pops[0])
+    A, rhs = _trace_row_system(Lr, np.flatnonzero(idx // d == idx % d))
     x, M = _solve_sector(A, rhs, 1e-13, idx, d)
-    A2, rhs2 = _trace_row_system(Lr, pops, pops[1])
-    x2, info = spla.gmres(A2, rhs2, M=M, rtol=1e-11, atol=0.0, restart=100, maxiter=400)
-    if info != 0:
-        try:
-            x2, _ = _ilu_gmres(A2, rhs2, 1e-11)
-        except NumericsError as exc:
-            raise NumericsError(f"degeneracy probe failed, so the null space is not shown "
-                                f"one-dimensional ({exc})") from exc
-    return tuple(_densities((x, x2), idx, d))
+    _require_nonsingular(A, idx, d, M)
+    rho, = _densities([x], idx, d)
+    return rho
 
 
-def _require_nonsingular(A: sp.csc_matrix, idx: np.ndarray, d: int):
-    """Show the real sector A of L, at the flat positions ``idx`` and
-    without populations, to be nonsingular: a preconditioned GMRES solve
-    with a fixed random right-hand side must converge. A singular sector
-    holds a traceless null vector of L."""
-    _solve_sector(A, np.random.default_rng(0).standard_normal(len(idx)), 1e-8, idx, d)
+def _require_nonsingular(A: sp.csc_matrix, idx: np.ndarray, d: int, M=None):
+    """Show the real sector system A, at the flat positions ``idx``, to be
+    nonsingular: GMRES with a fixed random right-hand side must converge,
+    under the preconditioner M if one is given and serves, else under the
+    first rung of ``ILU_LADDER`` that does (``_solve_sector``, which raises
+    AmbiguityError naming the sector when none does). GMRES converges on a
+    singular system only for a consistent right-hand side, which a random
+    one is not. A singular sector without populations holds a traceless
+    null vector of L."""
+    rhs = np.random.default_rng(0).standard_normal(len(idx))
+    if M is None or spla.gmres(A, rhs, M=M, rtol=1e-8, atol=0.0, restart=100,
+                               maxiter=400)[1] != 0:
+        _solve_sector(A, rhs, 1e-8, idx, d)
 
 
 def _usable_cpus() -> int:
@@ -482,13 +480,13 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     included. The calling thread runs the population solve, and a thread
     pool of max(1, usable CPUs - 1) workers (``os.sched_getaffinity``, else
     ``os.cpu_count``) checks the other sectors; the caller takes back every
-    check that has not started when its own solve ends. The trace row and
-    the degeneracy probe's row are those of rho_00 and rho_11, and the ILUs
-    factor in band order. One failure rule covers every sector: a sector
-    that no ``ILU_LADDER`` rung solves, the population sector included,
-    raises AmbiguityError naming it, and when several fail the one with
-    the lowest first position is named. A probe that converges on no ILU
-    rung raises NumericsError rather than skip the degeneracy check.
+    check that has not started when its own solve ends. The trace row is
+    rho_00's, and the ILUs factor in band order. One rule shows every real
+    sector nonsingular, the population sector's trace-constrained system
+    included: preconditioned GMRES on a fixed random right-hand side must
+    converge. A sector that no ``ILU_LADDER`` rung solves or shows
+    nonsingular raises AmbiguityError naming it, and when several fail the
+    one with the lowest first position is named.
     "dense" counts null eigenvalues over every real sector and takes the
     null vector of the population sector; it is the slow reference.
     """
@@ -506,11 +504,10 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
             "steady state ambiguous")
     # rho_00 sits at position 0, so real[0] is the one population sector
 
-    probe = None
     if method == "dense":
         rho = _steady_dense(real, d)
     else:
-        rho, probe = _run_sectors(
+        rho = _run_sectors(
             [functools.partial(_steady_ilu, real[0][1], real[0][0], d)]
             + [functools.partial(_require_nonsingular, A, idx, d) for idx, A in real[1:]])
 
@@ -521,8 +518,4 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     residual = float(np.linalg.norm(L @ rho.reshape(-1)))
     if residual >= STEADY_RESIDUAL_TOL:
         raise NumericsError(f"steady-state residual {residual:.2e} exceeds {STEADY_RESIDUAL_TOL}")
-    if probe is not None:
-        probe = probe / np.trace(probe).real
-        if float(np.abs(probe - rho).max()) > 1e-6:
-            raise AmbiguityError("Liouvillian null space appears degenerate (>= 2)")
     return QuantumState(model.space, "density", _clip_negative_eigenvalues(rho, "steady state"))

@@ -207,18 +207,18 @@ class QuantumState:
             if self.data.shape != (n,):
                 raise ContractError(f"pure state must be a length-{n} vector")
             nrm = float(np.linalg.norm(self.data))
-            if abs(nrm - 1.0) >= _NORMALIZATION_TOL:
+            if not abs(nrm - 1.0) < _NORMALIZATION_TOL:  # NaN fails too
                 raise ContractError(
                     f"pure state norm {nrm} deviates from 1 beyond {_NORMALIZATION_TOL}")
         elif self.kind == "density":
             if self.data.shape != (n, n):
                 raise ContractError(f"density matrix must be {n}x{n}")
             tr = complex(np.trace(self.data))
-            if abs(tr - 1.0) >= _NORMALIZATION_TOL:
+            if not abs(tr - 1.0) < _NORMALIZATION_TOL:
                 raise ContractError(
                     f"density trace {tr} deviates from 1 beyond {_NORMALIZATION_TOL}")
             herm = float(np.abs(self.data - self.data.conj().T).max())
-            if herm >= HERMITICITY_TOL:
+            if not herm < HERMITICITY_TOL:
                 raise ContractError(f"density hermiticity defect {herm} beyond {HERMITICITY_TOL}")
             evmin = float(np.linalg.eigvalsh(self.data).min())
             if evmin <= -NEGATIVE_EIGENVALUE_FLOOR:
@@ -443,7 +443,6 @@ def apply_operator(op: FieldOperator, state: QuantumState) -> QuantumState:
         vec = vec / np.linalg.norm(vec)
         return QuantumState(state.space, "pure", np.asarray(vec).ravel(), state.tail_mass)
     m = op.matrix @ state.data @ op.matrix.conj().T
-    m = _as_dense(m)
     m = m / np.trace(m).real
     return QuantumState(state.space, "density", 0.5 * (m + m.conj().T), state.tail_mass)
 
@@ -458,10 +457,7 @@ def expectation(state: QuantumState, op: FieldOperator) -> complex:
         raise ContractError("operator and state live on different spaces")
     if state.is_pure:
         return complex(np.vdot(state.data, op.matrix @ state.data))
-    prod_ = op.matrix @ state.data
-    if sp.issparse(prod_):
-        return complex(prod_.diagonal().sum())
-    return complex(np.trace(prod_))
+    return complex(np.trace(op.matrix @ state.data))
 
 
 def variance(state: QuantumState, op: FieldOperator) -> float:

@@ -49,15 +49,15 @@ class ModelSpec:
 
     def __post_init__(self):
         defect = self.hamiltonian.hermiticity_defect()
-        if defect >= HERMITICITY_TOL:
+        if not defect < HERMITICITY_TOL:  # NaN fails too
             raise ContractError(
                 f"Hamiltonian hermiticity defect {defect:.2e} beyond {HERMITICITY_TOL}")
         for _, rate in self.dissipators:
-            if rate < 0:
+            if not rate >= 0:
                 raise ParameterError(f"dissipator rate {rate} must be >= 0")
         for name, charge in self.charges.items():
             comm = self.hamiltonian.commutator(charge).max_abs()
-            if comm >= CHARGE_COMMUTATOR_TOL:
+            if not comm < CHARGE_COMMUTATOR_TOL:
                 raise ContractError(
                     f"charge {name!r} does not commute with H: max|[H,M]| = {comm:.2e}")
 

@@ -39,20 +39,24 @@ class TestArgHandling:
 
 def test_import_defers_optional_scipy_submodules():
     # the CLI's start-up cost: these load on first use, not on import; the
-    # module names checked last are the ones a tracer swaps by name
+    # module names checked last are the ones a tracer swaps by name. The
+    # squeeze runner checks its optimum without scipy.optimize
     probe = (
         "import json, sys\n"
-        "import nlo_quanta.cli\n"
+        "import nlo_quanta.cli as cli\n"
         "from nlo_quanta import evolve, soliton\n"
+        "loaded = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft',\n"
+        "                      'scipy.special') if m in sys.modules]\n"
+        "cli.run_squeeze(cli.build_config('squeeze', {}, 0, 1, False).params)\n"
         "print(json.dumps({\n"
-        "    'loaded': [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft',\n"
-        "                           'scipy.special') if m in sys.modules],\n"
+        "    'loaded': loaded, 'squeeze': 'scipy.optimize' in sys.modules,\n"
         "    'names': [hasattr(evolve, 'np'), hasattr(evolve, 'spla'),\n"
         "              callable(getattr(evolve, 'solve_ivp', None)), hasattr(soliton, 'np')]}))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"loaded": [], "names": [True, True, True, True]}
+    assert json.loads(proc.stdout) == {"loaded": [], "squeeze": False,
+                                       "names": [True, True, True, True]}
 
 
 class TestConfigValidation:
@@ -154,6 +158,26 @@ class TestConfigValidation:
         cfg.write_text("[run]\ncommand = entangle\n[entangle]\npoints = 33\n")
         proc = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o")])
         assert proc.returncode == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("squeeze", "n_pump", "1e300"),
+        ("oscillator", "gamma_a", "1e300"),
+        ("medium", "delta", "1e-300"),
+        ("soliton", "g3", "-1e-300"),
+        ("squeeze", "u_max", "800"),
+        ("squeeze", "n_pump", "1e-300"),
+        ("medium", "e0_max", "1e300"),
+    ])
+    def test_numeric_fault_exits_3_without_output(self, tmp_path, capsys, command, key, value):
+        # in-range values whose arithmetic overflows, divides by zero or
+        # yields non-finite table cells
+        cfg = tmp_path / "extreme.ini"
+        cfg.write_text(f"[{command}]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestOutputs:

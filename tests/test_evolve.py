@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
 from nlo_quanta import closed_form as cf
@@ -286,14 +287,18 @@ def _real_sectors(model):
     return evolve._real_sectors(L, evolve._closed_sectors(L, d), d)
 
 
-def _probe_rhs(model):
-    """Right-hand side of the degeneracy probe: the trace constraint on
-    rho_11's row of the real population sector."""
-    d = model.space.total_dim
-    population = _real_sectors(model)[0][0]
-    rhs = np.zeros(len(population))
-    rhs[np.searchsorted(population, d + 1)] = 1.0
-    return rhs
+def _population_degenerate(dim):
+    """|1> decays to |0> and to |2>, and nothing leaves either: both
+    populations are steady, in the one sector that holds populations."""
+    space = fock.make_space([dim])
+    jumps = []
+    for target in (0, 2):
+        m = np.zeros((dim, dim), dtype=complex)
+        m[target, 1] = 1.0
+        jumps.append(fock.FieldOperator(space, m))
+    return models.ModelSpec(space, 0.0 * fock.number_operator(space, 0),
+                            dissipators=((jumps[0], 0.5), (jumps[1], 0.7),
+                                         (fock.number_operator(space, 0), 0.4)))
 
 
 class TestSteadyState:
@@ -344,8 +349,8 @@ class TestSteadyState:
     def test_traceless_null_vector_detected(self, method):
         # sigma_x dephasing keeps sigma_x (x) |0><0| steady as well as the
         # trace-one state; that second null vector is traceless and lives in
-        # a sector without populations. "ilu" runs the ILU sector check of
-        # "auto" alone, without the population solve and its probe
+        # a sector without populations. "ilu" runs the ILU sector checks of
+        # "auto" alone, without the population solve and its own check
         space = fock.make_space([2, 30])
         a = fock.annihilation(space, 0)
         model = models.ModelSpec(space, 0.3 * fock.number_operator(space, 1),
@@ -361,18 +366,8 @@ class TestSteadyState:
                 evolve._require_nonsingular(A, idx, d)
 
     def test_population_degenerate_null_space_detected(self):
-        # |1> decays to |0> and to |2>, and nothing leaves either: both
-        # populations are steady, in the one sector that holds populations
         for dim in (3, 6):
-            space = fock.make_space([dim])
-            jumps = []
-            for target in (0, 2):
-                m = np.zeros((dim, dim), dtype=complex)
-                m[target, 1] = 1.0
-                jumps.append(fock.FieldOperator(space, m))
-            model = models.ModelSpec(space, 0.0 * fock.number_operator(space, 0),
-                                     dissipators=((jumps[0], 0.5), (jumps[1], 0.7),
-                                                  (fock.number_operator(space, 0), 0.4)))
+            model = _population_degenerate(dim)
             for method in STEADY_ROUTES:
                 with pytest.raises(AmbiguityError):
                     evolve.steady_state(model, method=method)
@@ -405,16 +400,15 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("method", ["auto", "ilu"])
     def test_steady_state_exactly_hermitian(self, method):
-        # "ilu" takes the solution and the probe of the real population
-        # sector's solve as they come: the real basis makes them hermitian
+        # "ilu" takes the density of the real population sector's solve as
+        # it comes: the real basis makes it hermitian
         model = _dpo((8, 6))
         if method == "ilu":
             population, A = _real_sectors(model)[0]
-            rhos = evolve._steady_ilu(A, population, model.space.total_dim)
+            rho = evolve._steady_ilu(A, population, model.space.total_dim)
         else:
-            rhos = [evolve.steady_state(model, method=method).data]
-        for rho in rhos:
-            assert np.array_equal(rho, rho.conj().T)
+            rho = evolve.steady_state(model, method=method).data
+        assert rho.shape == (48, 48) and np.array_equal(rho, rho.conj().T)
 
     def test_one_nonsingularity_solve_per_mirror_pair(self, monkeypatch):
         # number-conserving: the sectors are the 11 coherence orders n - m,
@@ -433,23 +427,46 @@ class TestSteadyState:
         # one population solve and one check per mirror pair, all real
         assert calls == [np.float64] * 6
 
-    def test_probe_failure_does_not_skip_degeneracy_check(self, monkeypatch):
+    def test_failed_population_check_raises(self, monkeypatch):
+        # the population sector's trace-row system must pass the check that
+        # every other sector passes; here GMRES fails on the check's fixed
+        # random right-hand side
         model = _dpo((8, 6))
-        probe = _probe_rhs(model)
+        check = np.random.default_rng(0).standard_normal(len(_real_sectors(model)[0][0]))
         real_gmres = evolve.spla.gmres
-        probes = []
+        checks = []
 
         def gmres(A, rhs, **kwargs):
-            if np.array_equal(rhs, probe):
-                probes.append(A.shape)
+            if np.array_equal(rhs, check):
+                checks.append(A.shape)
                 return np.zeros_like(rhs), 1
             return real_gmres(A, rhs, **kwargs)
 
         monkeypatch.setattr(evolve.spla, "gmres", gmres)
-        with pytest.raises(NumericsError, match="degeneracy probe"):
+        with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]"):
             evolve.steady_state(model)
-        # under the solve's preconditioner, then once per rung of its own
-        assert len(probes) == 1 + len(evolve.ILU_LADDER)
+        # under the solve's preconditioner, then once per rung of the ladder
+        assert len(checks) == 1 + len(evolve.ILU_LADDER)
+
+    def test_population_degenerate_solve_fails_check(self, monkeypatch):
+        # a two-dimensional null space in the population sector, whose
+        # trace-row solve is made to succeed: that system is singular, so
+        # the check on a random right-hand side still fails
+        model = _population_degenerate(3)
+        real_solve_sector = evolve._solve_sector
+        solved = []
+
+        def solve_first(A, rhs, rtol, idx, d):
+            if solved:
+                return real_solve_sector(A, rhs, rtol, idx, d)
+            solved.append(np.linalg.lstsq(A.toarray(), rhs, rcond=None)[0])
+            return solved[0], scipy.sparse.linalg.aslinearoperator(
+                scipy.sparse.identity(len(rhs)))
+
+        monkeypatch.setattr(evolve, "_solve_sector", solve_first)
+        with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]"):
+            evolve.steady_state(model)
+        assert len(solved) == 1
 
     @pytest.mark.parametrize("name", list(ORDER_MODELS))
     def test_band_order_matches_minimum_degree(self, name, monkeypatch):
@@ -485,14 +502,16 @@ class TestSteadyState:
         evolve.steady_state(model)
         # the population sector, the Im half of its set and both halves of
         # the odd-parity set each factor on the first rung; GMRES runs the
-        # solve, the probe and the three other sectors' checks
+        # population solve and the four sectors' checks, that of the
+        # population system under the solve's preconditioner
         assert rungs == [evolve.ILU_LADDER[0]] * 4
         assert len(solves) == 5
 
-    def test_every_rung_factors_probe_system(self, monkeypatch):
-        # the probe runs on the real population sector, the Re half of its set
+    def test_every_rung_factors_population_system(self, monkeypatch):
+        # the trace-row system of the real population sector, the Re half of
+        # its set
         model = _dpo((8, 6))
-        size = len(_probe_rhs(model))
+        size = len(_real_sectors(model)[0][0])
         assert size < len(evolve._closed_sectors(evolve.liouvillian(model),
                                                  model.space.total_dim)[0])
         real_spilu, real_gmres = evolve.spla.spilu, evolve.spla.gmres
@@ -503,8 +522,8 @@ class TestSteadyState:
             return real_spilu(A, **kwargs)
 
         def gmres(A, rhs, **kwargs):
-            # the probe's trace row is any population row but rho_00's
-            if len(rhs) == size and np.count_nonzero(rhs) == 1 and rhs[0] == 0.0:
+            # the trace row is rho_00's, the first
+            if len(rhs) == size and np.count_nonzero(rhs) == 1 and rhs[0] == 1.0:
                 systems.append(A)
             return real_gmres(A, rhs, **kwargs)
 
@@ -516,7 +535,7 @@ class TestSteadyState:
             real_spilu(systems[0], drop_tol=drop_tol, fill_factor=fill, permc_spec=orders[0])
 
     @pytest.mark.parametrize("dims", [(8, 6), (12, 8)], ids=["dpo-8-6", "dpo-12-8"])
-    def test_pool_size_leaves_solution_and_probe_bit_identical(self, dims, monkeypatch):
+    def test_pool_size_leaves_solution_bit_identical(self, dims, monkeypatch):
         # one CPU leaves one pool worker; four let every other sector's
         # check run beside the population solve
         model = _dpo(dims)
@@ -532,8 +551,8 @@ class TestSteadyState:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                                 raising=False)
             evolve.steady_state(model)
-        (rho, probe), (rho_1, probe_1) = runs
-        assert np.array_equal(rho, rho_1) and np.array_equal(probe, probe_1)
+        rho, rho_1 = runs
+        assert rho.shape == (model.space.total_dim,) * 2 and np.array_equal(rho, rho_1)
 
     def test_lowest_failing_sector_named(self, monkeypatch):
         # every check of a sector without populations fails, after a random

@@ -295,6 +295,17 @@ class TestBeamSplitter:
         overlap = abs(np.vdot(expect.data, out.data))
         assert overlap > 1 - 1e-8
 
+    @pytest.mark.parametrize("dims", [(12, 12), (20, 20)], ids=["dense", "sparse"])
+    def test_density_conjugation_matches_pure_action(self, dims):
+        # U rho U^dag of a pure state's density is the density of U psi
+        space = fock.make_space(list(dims))
+        u = fock.beam_splitter(space, 0.3)
+        assert scipy.sparse.issparse(u.matrix) == (space.total_dim > fock.SPARSE_THRESHOLD)
+        psi = fock.coherent_state(space, [0.6 - 0.2j, 0.4 + 0.5j])
+        out = fock.apply_operator(u, psi.as_density_state())
+        assert type(out.data) is np.ndarray
+        np.testing.assert_allclose(out.data, fock.apply_operator(u, psi).density(), atol=1e-12)
+
     def test_full_transmission_is_exact_identity(self):
         space = fock.make_space([60, 60])
         u = fock.beam_splitter(space, 1.0)

@@ -186,3 +186,17 @@ class TestModelSpecValidation:
         bad_charge = fock.quadrature(space, 0, 0.0)
         with pytest.raises(ContractError):
             models.ModelSpec(space, h, charges={"bad": bad_charge})
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda s: fock.QuantumState(s, "pure", np.array([np.nan, 0.0, 0.0])), ContractError),
+        (lambda s: fock.QuantumState(s, "density", np.full((3, 3), np.nan)), ContractError),
+        (lambda s: models.ModelSpec(s, fock.FieldOperator(s, np.full((3, 3), np.nan))),
+         ContractError),
+        (lambda s: models.ModelSpec(s, fock.number_operator(s, 0),
+                                    dissipators=((fock.annihilation(s, 0), np.nan),)),
+         ParameterError),
+    ], ids=["pure-nan", "density-nan", "hamiltonian-nan", "rate-nan"])
+    def test_non_finite_input_rejected(self, build, error):
+        # each check is written so that a NaN fails it
+        with pytest.raises(error):
+            build(fock.make_space([3]))
