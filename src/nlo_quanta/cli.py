@@ -188,6 +188,8 @@ def _parse_value(key: str, text: str, cast: type):
 
 
 def build_config(command: str, raw: dict, seed: int, threads: int, fast: bool) -> ScenarioConfig:
+    if fast and command != "validate":
+        raise UsageError(f"--fast applies to validate only, not {command!r}")
     entry = TABLE[command]
     unknown = set(raw) - set(entry.defaults)
     if unknown:
@@ -367,6 +369,9 @@ def run_soliton(p: dict):
     period = fiber.soliton_period(p["n0"])
     t_final = p["periods"] * period
     steps = p["steps"] or fiber.guided_steps(t_final)
+    if steps > _MAX_STEPS:
+        raise ConfigError(f"soliton needs at most {_MAX_STEPS} split steps; periods = "
+                          f"{p['periods']} on {p['grid_points']} grid points takes {steps}")
     profile = soliton.classical_soliton_profile(p["n0"], 0.0, 0.0, fiber, 0.0)
 
     snap_times = np.linspace(0.0, t_final, p["snapshots"])
@@ -447,7 +452,8 @@ class Command:
 
 # Upper bounds of the size-like parameters: the largest value any test, demo
 # or benchmark input uses (181 sweep points, dims 18, n 4, 241 Husimi points,
-# a 1024-point grid, ~6000 guided steps, 5 snapshots), with headroom.
+# a 1024-point grid, ~6000 guided steps, 5 snapshots, a 25-photon soliton),
+# with headroom. _MAX_STEPS also bounds the soliton's guided step count.
 _MAX_POINTS = 10_000
 _MAX_DIM = 64
 _MAX_N = 8
@@ -455,6 +461,7 @@ _MAX_HUSIMI_POINTS = 401
 _MAX_GRID_POINTS = 16_384
 _MAX_STEPS = 1_000_000
 _MAX_SNAPSHOTS = 100
+_MAX_N0 = 1_000
 
 TABLE = {
     "squeeze": Command(
@@ -474,44 +481,45 @@ TABLE = {
         dict(kappa=0.25, gamma_a=1.0, gamma_b=2.0, ratio_min=0.02, ratio_max=0.999, points=50),
         lambda p: (0.0 < p["ratio_min"] < p["ratio_max"] < 1.0
                    and min(p["kappa"], p["gamma_a"], p["gamma_b"]) > 0
-                   and p["points"] <= _MAX_POINTS),
+                   and 1 <= p["points"] <= _MAX_POINTS),
         "oscillator sweep needs 0 < ratio_min < ratio_max < 1, kappa, gamma_a, "
-        f"gamma_b > 0 and points <= {_MAX_POINTS}", run_oscillator),
+        f"gamma_b > 0 and 1 <= points <= {_MAX_POINTS}", run_oscillator),
     "nphoton": Command(
         dict(n=3, kappa_n=0.15, pump_alpha=1.0, signal_dim=18, pump_dim=14, t_max=3.0,
              points=16, husimi_radius=3.5, husimi_points=41),
         lambda p: (2 <= p["n"] <= _MAX_N and p["n"] < p["signal_dim"] <= _MAX_DIM
                    and 2 <= p["pump_dim"] <= _MAX_DIM
                    and 2 <= p["husimi_points"] <= _MAX_HUSIMI_POINTS
-                   and p["points"] <= _MAX_POINTS),
+                   and 1 <= p["points"] <= _MAX_POINTS),
         f"nphoton needs 2 <= n <= {_MAX_N}, n < signal_dim <= {_MAX_DIM}, "
         f"2 <= pump_dim <= {_MAX_DIM}, 2 <= husimi_points <= {_MAX_HUSIMI_POINTS} "
-        f"and points <= {_MAX_POINTS}", run_nphoton),
+        f"and 1 <= points <= {_MAX_POINTS}", run_nphoton),
     "medium": Command(
         dict(delta=1.0, g=1.0, n_density=1.0, e0_min=0.0, e0_max=0.05, points=51),
-        lambda p: 0 <= p["e0_min"] < p["e0_max"] and p["points"] <= _MAX_POINTS,
-        f"medium sweep needs 0 <= e0_min < e0_max and points <= {_MAX_POINTS}", run_medium),
+        lambda p: 0 <= p["e0_min"] < p["e0_max"] and 1 <= p["points"] <= _MAX_POINTS,
+        f"medium sweep needs 0 <= e0_min < e0_max and 1 <= points <= {_MAX_POINTS}",
+        run_medium),
     "dispersion": Command(
         dict(beta_nu_rel=1.0 / 2.25, beta_prime_s=2e-27, beta_dblprime_s2=1e-43,
              k_min=1e6, k_max=2e7, points=100),
         lambda p: (p["beta_nu_rel"] > 0 and p["k_min"] > 0 and p["k_max"] > 0
-                   and p["points"] <= _MAX_POINTS),
-        f"dispersion needs beta_nu_rel > 0, k_min > 0, k_max > 0 and points <= {_MAX_POINTS}",
-        run_dispersion),
+                   and 1 <= p["points"] <= _MAX_POINTS),
+        "dispersion needs beta_nu_rel > 0, k_min > 0, k_max > 0 and "
+        f"1 <= points <= {_MAX_POINTS}", run_dispersion),
     "downconv": Command(
         dict(k0=3.0, dz_max=40.0, points=161),
-        lambda p: p["k0"] > 0 and p["dz_max"] > 0 and p["points"] <= _MAX_POINTS,
-        f"downconv needs k0 > 0, dz_max > 0 and points <= {_MAX_POINTS}", run_downconv),
+        lambda p: p["k0"] > 0 and p["dz_max"] > 0 and 1 <= p["points"] <= _MAX_POINTS,
+        f"downconv needs k0 > 0, dz_max > 0 and 1 <= points <= {_MAX_POINTS}", run_downconv),
     "soliton": Command(
         # steps = 0 takes the step count from FiberParams.guided_steps
         dict(n0=25, omega1_dblprime=2.0, g3=-0.05, grid_widths=24.0, grid_points=1024,
              periods=1.0, steps=0, snapshots=5),
-        lambda p: (p["n0"] >= 2 and p["grid_widths"] >= 12 and p["g3"] < 0
+        lambda p: (2 <= p["n0"] <= _MAX_N0 and p["grid_widths"] >= 12 and p["g3"] < 0
                    and p["periods"] > 0 and p["grid_points"] <= _MAX_GRID_POINTS
                    and 0 <= p["steps"] <= _MAX_STEPS
                    and 2 <= p["snapshots"] <= _MAX_SNAPSHOTS),
-        "soliton needs n0 >= 2, g3 < 0, a grid of >= 12 soliton widths, periods > 0, "
-        f"grid_points <= {_MAX_GRID_POINTS}, 0 <= steps <= {_MAX_STEPS} and "
+        f"soliton needs 2 <= n0 <= {_MAX_N0}, g3 < 0, a grid of >= 12 soliton widths, "
+        f"periods > 0, grid_points <= {_MAX_GRID_POINTS}, 0 <= steps <= {_MAX_STEPS} and "
         f"2 <= snapshots <= {_MAX_SNAPSHOTS}", run_soliton),
     "validate": Command({}, lambda p: True, "", run_validate),
 }
@@ -522,12 +530,14 @@ RUNNERS = {name: c.runner for name, c in TABLE.items() if name != "validate"}
 
 
 def run(cfg: ScenarioConfig, out_dir: str) -> ScenarioResult:
-    """Execute a validated scenario and write its outputs."""
+    """Execute a validated scenario and write its outputs. A runner's numpy
+    overflow, division by zero or invalid operation raises where it happens."""
     t0 = time.perf_counter()
     if cfg.command == "validate":
         tables, summary = run_validate(cfg, out_dir)
     else:
-        tables, summary = RUNNERS[cfg.command](cfg.params)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            tables, summary = RUNNERS[cfg.command](cfg.params)
     result = ScenarioResult(cfg, tables, summary, time.perf_counter() - t0)
     write_outputs(result, out_dir)
     if cfg.command == "validate" and not summary["all_passed"]:
@@ -546,7 +556,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: NLO_QUANTA_THREADS or 1)")
     parser.add_argument("--fast", action="store_true",
-                        help="validate: run only the fast criteria tier")
+                        help="validate only: run the fast criteria tier")
     args = parser.parse_args(argv)
 
     if args.command is None and args.config is None:
@@ -566,6 +576,7 @@ def main(argv=None) -> int:
         print("error: --threads and NLO_QUANTA_THREADS must be integers >= 1", file=sys.stderr)
         return EXIT_CONFIG
 
+    command = args.command
     try:
         if args.config:
             command, raw, seed = parse_config_file(args.config, args.command)
@@ -580,7 +591,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"numeric failure in {command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

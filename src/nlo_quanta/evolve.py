@@ -16,21 +16,20 @@ Numerical routes
   in float64, and maps back to an exactly hermitian rho. Transients run
   adaptive DOP853 on the real sectors rho0 occupies. Trace renormalization
   is deliberately off; trace drift is an error signal.
-* Steady states: exactly one real sector may hold populations rho_nn; it
-  carries the steady state. The default route solves a trace-constrained
-  system on it with ILU-preconditioned GMRES. That system and every other
-  real sector must pass one check, a preconditioned GMRES solve on a random
-  right-hand side that shows them nonsingular, so a second null vector is
-  caught whether or not it has trace. The calling thread solves the
-  population sector while a thread pool of max(1, usable CPUs - 1)
-  workers checks the others (``_run_sectors``). Every ILU factors in the
-  sector's own row-major order of rho, which is already banded
-  (``permc_spec="NATURAL"``); minimum-degree reordering only adds fill
-  there. Under that order the trace row stays rho_00's, the block's first
-  row: a trace row put last leaves some ILU rungs exactly singular. A
-  sector that no ILU rung solves is taken to be singular and raises
-  AmbiguityError. A dense eigendecomposition per real sector is the slow
-  reference.
+* Steady states: the real sector of rho_00 carries the steady state. The
+  default route solves a trace-constrained system on it with
+  ILU-preconditioned GMRES. That system and every other real sector must
+  pass one check, a preconditioned GMRES solve on a random right-hand side
+  that shows them nonsingular, so a second null vector is caught whether
+  or not it has trace; so is a second sector holding populations rho_nn,
+  of which the trace functional is a left null vector. The calling thread
+  solves the population sector while max(1, usable CPUs - 1) workers check
+  the others (``_run_sectors``). Every ILU factors in the sector's own
+  row-major order of rho, which is already banded (``NATURAL``); minimum
+  degree only adds fill there. The trace row stays rho_00's, the first: a
+  trace row put last leaves some ILU rungs exactly singular. A sector that
+  no ILU rung solves is taken to be singular and raises AmbiguityError. A
+  dense eigendecomposition per real sector is the slow reference.
 
 ``scipy.integrate`` is imported on the first transient, not with this
 module: no CLI command and no acceptance criterion integrates one, and the
@@ -221,17 +220,17 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
 ILU_LADDER = ((1e-1, 2), (3e-2, 2), (1e-3, 6))
 
 
-def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
-    """GMRES on A x = rhs, preconditioned by the first rung of
-    ``ILU_LADDER`` whose incomplete LU lets it converge.
+def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, idx: np.ndarray, d: int):
+    """GMRES on the system A x = rhs of the real sector at the flat
+    positions ``idx``, preconditioned by the first rung of ``ILU_LADDER``
+    whose incomplete LU lets it converge; returns the solution and the
+    preconditioner.
 
     A is factored in its given order (``permc_spec="NATURAL"``): a sector's
     row-major order of rho is banded, and minimum degree only adds fill.
     The order also keeps the trace row first, where ``_trace_row_system``
-    puts it.
-
-    Returns the solution and the preconditioner; raises NumericsError when
-    no rung converges.
+    puts it. A sector that no rung solves is taken to be singular: it holds
+    a second null vector of L, and AmbiguityError names it.
     """
     n = A.shape[0]
     failure = "no rung tried"
@@ -247,20 +246,10 @@ def _ilu_gmres(A: sp.csc_matrix, rhs: np.ndarray, rtol: float):
         if info == 0:
             return x, M
         failure = f"GMRES did not converge (info {info}) at drop_tol {drop_tol}"
-    raise NumericsError(f"preconditioned solve failed: {failure}")
-
-
-def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, idx: np.ndarray, d: int):
-    """``_ilu_gmres`` on the system A of the real sector at the flat
-    positions ``idx``. A sector that no rung solves is taken to be singular:
-    it holds a second null vector of L, and AmbiguityError names it."""
-    try:
-        return _ilu_gmres(A, rhs, rtol)
-    except NumericsError as exc:
-        n, m = divmod(int(idx[0]), d)
-        raise AmbiguityError(
-            f"Liouvillian sector of {len(idx)} real unknowns from rho[{n}, {m}] looks singular, "
-            f"so the null space is degenerate ({exc})") from exc
+    row, col = divmod(int(idx[0]), d)
+    raise AmbiguityError(
+        f"Liouvillian sector of {len(idx)} real unknowns from rho[{row}, {col}] looks singular, "
+        f"so the null space is degenerate (preconditioned solve failed: {failure})")
 
 
 def _closed_sectors(L: sp.csr_matrix, d: int) -> list[np.ndarray]:
@@ -472,7 +461,8 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn and split again by
     its own pattern. L is block diagonal over them. The trace functional is
     a left null vector of every sector holding a population entry rho_nn,
-    so more than one such sector means a degenerate null space.
+    so a second such sector fails the "auto" check below and adds a null
+    eigenvalue on "dense": one population sector follows from the rule.
 
     "auto" works in float64: it solves the trace-constrained system on the
     population sector alone with ILU-preconditioned GMRES and shows every
@@ -496,14 +486,8 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
         raise ContractError("steady_state needs at least one dissipator with positive rate")
     d = model.space.total_dim
     L = liouvillian(model)
+    # ordered by first position, so real[0] holds rho_00
     real = _real_sectors(L, _closed_sectors(L, d), d)
-    holding = sum(bool(np.any(idx // d == idx % d)) for idx, _ in real)
-    if holding > 1:
-        raise AmbiguityError(
-            f"Liouvillian has {holding} decoupled sectors holding populations; "
-            "steady state ambiguous")
-    # rho_00 sits at position 0, so real[0] is the one population sector
-
     if method == "dense":
         rho = _steady_dense(real, d)
     else:

@@ -113,6 +113,17 @@ class TestConfigValidation:
         ("soliton", "grid_points", "16385"),
         ("soliton", "steps", "1000001"),
         ("soliton", "snapshots", "101"),
+        ("soliton", "n0", "1001"),
+        ("oscillator", "points", "0"),
+        ("oscillator", "points", "-1"),
+        ("nphoton", "points", "0"),
+        ("nphoton", "points", "-1"),
+        ("medium", "points", "0"),
+        ("medium", "points", "-1"),
+        ("dispersion", "points", "0"),
+        ("dispersion", "points", "-1"),
+        ("downconv", "points", "0"),
+        ("downconv", "points", "-1"),
     ])
     def test_bad_parameter_value_rejected(self, tmp_path, command, key, value):
         cfg = tmp_path / "bad.ini"
@@ -168,15 +179,40 @@ class TestConfigValidation:
         ("squeeze", "n_pump", "1e-300"),
         ("medium", "e0_max", "1e300"),
     ])
-    def test_numeric_fault_exits_3_without_output(self, tmp_path, capsys, command, key, value):
+    def test_numeric_fault_exits_3_without_output(self, tmp_path, capsys, recwarn, command,
+                                                  key, value):
         # in-range values whose arithmetic overflows, divides by zero or
-        # yields non-finite table cells
+        # yields non-finite table cells; numpy raises at the operation
+        # instead of warning
         cfg = tmp_path / "extreme.ini"
         cfg.write_text(f"[{command}]\n{key} = {value}\n")
         out = tmp_path / "o"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "numeric failure" in err and "Traceback" not in err
+        assert f"numeric failure in {command}: " in err and "Traceback" not in err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("key, value", [("periods", "200"), ("grid_points", "16384")])
+    def test_soliton_guided_steps_bounded(self, tmp_path, capsys, monkeypatch, key, value):
+        # the guided step count grows as periods x grid_points^2; one over
+        # the bound is refused before the march starts
+        def march(*args):
+            raise AssertionError("the march started")
+
+        monkeypatch.setattr(cli.soliton, "split_step_snapshots", march)
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(f"[soliton]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert cli.main(["soliton", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"at most {cli._MAX_STEPS} split steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "validate"])
+    def test_fast_rejected_outside_validate(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert cli.main([command, "--fast", "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--fast applies to validate only" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -365,6 +365,16 @@ class TestSteadyState:
             for idx, A in _real_sectors(model)[1:]:
                 evolve._require_nonsingular(A, idx, d)
 
+    def test_second_population_sector_fails_check(self):
+        # dephasing alone leaves every population rho_nn a sector of its
+        # own; the lowest one after rho_00's is named, as any singular
+        # sector is
+        space = fock.make_space([4])
+        model = models.ModelSpec(space, 0.0 * fock.number_operator(space, 0),
+                                 dissipators=((fock.number_operator(space, 0), 0.5),))
+        with pytest.raises(AmbiguityError, match=r"from rho\[1, 1\]"):
+            evolve.steady_state(model)
+
     def test_population_degenerate_null_space_detected(self):
         for dim in (3, 6):
             model = _population_degenerate(dim)
@@ -416,13 +426,13 @@ class TestSteadyState:
         model = _damped_number()
         assert len(fock.sectors(evolve.liouvillian(model))) == 11
         calls = []
-        real_ilu_gmres = evolve._ilu_gmres
+        real_solve_sector = evolve._solve_sector
 
-        def counting(A, rhs, rtol):
+        def counting(A, rhs, rtol, idx, d):
             calls.append(A.dtype)
-            return real_ilu_gmres(A, rhs, rtol)
+            return real_solve_sector(A, rhs, rtol, idx, d)
 
-        monkeypatch.setattr(evolve, "_ilu_gmres", counting)
+        monkeypatch.setattr(evolve, "_solve_sector", counting)
         evolve.steady_state(model)
         # one population solve and one check per mirror pair, all real
         assert calls == [np.float64] * 6
@@ -555,21 +565,25 @@ class TestSteadyState:
         assert rho.shape == (model.space.total_dim,) * 2 and np.array_equal(rho, rho_1)
 
     def test_lowest_failing_sector_named(self, monkeypatch):
-        # every check of a sector without populations fails, after a random
-        # delay; the error named is always that of the lowest such sector
+        # GMRES fails, after a random delay, on every system of a sector
+        # without populations, so the ILU ladder walk of each such sector's
+        # check fails; the error named is always that of the lowest one
         model = _dpo((8, 6))
         d = model.space.total_dim
-        n, m = divmod(int(_real_sectors(model)[1][0][0]), d)
-        real_ilu_gmres = evolve._ilu_gmres
+        real = _real_sectors(model)
+        size = len(real[0][0])
+        assert all(len(idx) != size for idx, _ in real[1:])
+        n, m = divmod(int(real[1][0][0]), d)
+        real_gmres = evolve.spla.gmres
         delays = np.random.default_rng(1)
 
-        def failing(A, rhs, rtol):
-            if np.count_nonzero(rhs) == 1:  # the population solve's trace row
-                return real_ilu_gmres(A, rhs, rtol)
+        def failing(A, rhs, **kwargs):
+            if len(rhs) == size:  # the population solve and its check
+                return real_gmres(A, rhs, **kwargs)
             time.sleep(delays.uniform(0.0, 0.02))
-            raise NumericsError("no rung converged")
+            return np.zeros_like(rhs), 1
 
-        monkeypatch.setattr(evolve, "_ilu_gmres", failing)
+        monkeypatch.setattr(evolve.spla, "gmres", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         for _ in range(5):
             with pytest.raises(AmbiguityError, match=rf"from rho\[{n}, {m}\]"):
