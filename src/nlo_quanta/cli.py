@@ -357,10 +357,8 @@ def run_downconv(p: dict):
         "downconv", ("delta_z", "m"), np.linspace(-p["dz_max"], p["dz_max"], p["points"]),
         [("abs_kernel", "1/m^3"), ("re_kernel", "1/m^3"), ("im_kernel", "1/m^3"),
          ("abs_kernel_quadrature", "1/m^3")], point)
-    envelope_dz = 2.0 * np.pi * np.arange(3, 40) / k0
-    envelope = np.array([abs(cf.downconv_kernel(dz, k0).value) for dz in envelope_dz])
-    exponent = -float(np.polyfit(np.log(envelope_dz), np.log(envelope), 1)[0])
-    return [table], {"fitted_decay_exponent": exponent, "dz0_value": k0 ** 3 / 6.0, "k0": k0}
+    return [table], {"fitted_decay_exponent": cf.downconv_decay_exponent(k0, 40),
+                     "dz0_value": k0 ** 3 / 6.0, "k0": k0}
 
 
 def run_soliton(p: dict):

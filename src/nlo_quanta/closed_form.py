@@ -214,9 +214,11 @@ def kerr_bs_optimum(alpha_mag: float, phi: float) -> KerrBsResult:
         <n>    = |alpha|^2 + |alpha| phi e^{-(|alpha| phi)^2/2} / (1 - e^{-2(|alpha| phi)^2}).
 
     These forms coincide with direct minimization of the two-term excess
-    exactly at |alpha| phi = 1 (their stated regime of validity).
+    exactly at |alpha| phi = 1 (their stated regime of validity). With no
+    Kerr phase or a vacuum input the mixed state stays Poissonian for every
+    r, so the optimum is the trivial r_opt = 0 with zero excess.
     """
-    if phi == 0.0:
+    if alpha_mag == 0.0 or phi == 0.0:
         return KerrBsResult(excess=0.0, mean_n=alpha_mag ** 2, r_opt=0.0)
     s = (alpha_mag * phi) ** 2
     denom = 1.0 - np.exp(-2.0 * s)
@@ -304,6 +306,16 @@ def downconv_kernel(delta_z: float, k0: float) -> KernelPoint:
         e = np.exp(1j * x)
         value = 2j * (1.0 - e) / delta_z ** 3 - k0 * (1.0 + e) / delta_z ** 2
     return KernelPoint(delta_z=float(delta_z), k0=float(k0), value=complex(value))
+
+
+def downconv_decay_exponent(k0: float, m_stop: int) -> float:
+    """Far-field decay exponent of |kernel|: minus the slope of the
+    least-squares line through log |kernel(dz)| against log dz at the
+    envelope points dz = 2 pi m / k0, m = 3, ..., m_stop - 1 (2 for the
+    1/dz^2 envelope)."""
+    dzs = 2.0 * np.pi * np.arange(3, m_stop) / k0
+    vals = np.array([abs(downconv_kernel(dz, k0).value) for dz in dzs])
+    return -float(np.polyfit(np.log(dzs), np.log(vals), 1)[0])
 
 
 def downconv_kernel_symmetrized(delta_z: float, k0: float) -> complex:

@@ -238,8 +238,8 @@ def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, idx: np.ndarra
         try:
             ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill,
                              permc_spec="NATURAL")
-        except RuntimeError as exc:  # exactly singular factor
-            failure = str(exc)
+        except RuntimeError:  # SuperLU found a zero pivot
+            failure = f"exactly singular incomplete LU factor at drop_tol {drop_tol}"
             continue
         M = spla.LinearOperator((n, n), ilu.solve, dtype=A.dtype)
         x, info = spla.gmres(A, rhs, M=M, rtol=rtol, atol=0.0, restart=100, maxiter=400)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -15,6 +16,13 @@ REFERENCE_DIGESTS = pathlib.Path(__file__).parents[1] / "bench" / "reference_dig
 def run_cli(args, **kwargs):
     return subprocess.run([sys.executable, "-m", "nlo_quanta.cli", *args],
                           capture_output=True, text=True, timeout=300, **kwargs)
+
+
+def all_cells_finite(csv_path) -> bool:
+    """Whether every data cell of a CSV the CLI wrote (two comment lines,
+    then the header) is a finite number."""
+    rows = csv_path.read_text().splitlines()[3:]
+    return all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 class TestArgHandling:
@@ -193,6 +201,42 @@ class TestConfigValidation:
         assert not out.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("squeeze", "u_max", "1e6"),
+        ("entangle", "points", "16"),
+        ("kerr", "bs_phi", "-1e-300"),
+        ("oscillator", "kappa", "1e300"),
+        ("nphoton", "husimi_radius", "1e300"),
+        ("medium", "g", "1e300"),
+        ("dispersion", "beta_prime_s", "1e300"),
+        ("downconv", "k0", "1e-300"),
+        ("soliton", "omega1_dblprime", "1e-300"),
+    ])
+    def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command, key, value):
+        # one extreme in-range value per command: a contract exit code, no
+        # traceback, and output only on success, with every cell finite
+        cfg = tmp_path / "extreme.ini"
+        cfg.write_text(f"[{command}]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == cli.EXIT_OK:
+            assert all(all_cells_finite(path) for path in out.glob("*.csv"))
+        else:
+            assert not out.exists()
+
+    def test_kerr_vacuum_input_writes_tables(self, tmp_path):
+        # a vacuum Kerr state mixed with a coherent state stays Poissonian,
+        # so the beam-splitter optimum is the trivial one
+        cfg = tmp_path / "vacuum.ini"
+        cfg.write_text("[kerr]\nalpha = 0\n")
+        out = tmp_path / "o"
+        assert cli.main(["kerr", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        assert all_cells_finite(out / "kerr.csv")
+        summary = json.loads((out / "kerr_meta.json").read_text())["summary"]
+        assert summary["bs_optimum_excess"] == 0.0 and summary["bs_r_opt"] == 0.0
+
     @pytest.mark.parametrize("key, value", [("periods", "200"), ("grid_points", "16384")])
     def test_soliton_guided_steps_bounded(self, tmp_path, capsys, monkeypatch, key, value):
         # the guided step count grows as periods x grid_points^2; one over
@@ -305,7 +349,7 @@ class TestValidateCommand:
             raise NumericsError("solver blew up")
 
         monkeypatch.setattr(validation, "_CHECKS",
-                            {2: validation._CHECKS[2], 5: check_raises})
+                            {2: validation._CHECKS[2], 5: ("raises", check_raises)})
         out = tmp_path / "out"
         code = cli.main(["validate", "--out", str(out), "--threads", str(threads)])
         assert code == cli.EXIT_NUMERIC
@@ -320,12 +364,24 @@ class TestValidateCommand:
         def check_raises():
             raise NumericsError("solver blew up")
 
-        monkeypatch.setitem(validation._CHECKS, 5, check_raises)
+        monkeypatch.setitem(validation._CHECKS, 5, ("raises", check_raises))
         result = validation.run_criterion(5)
         assert result.passed is False
         assert result.details["error"] == "NumericsError: solver blew up"
         assert "check_raises" in result.details["traceback"]
         assert result.seconds > 0
+
+    def test_raising_criterion_keeps_its_name(self, tmp_path, monkeypatch):
+        def max_squeezing(n_pump):
+            raise NumericsError("solver blew up")
+
+        monkeypatch.setattr(validation.cf, "max_squeezing", max_squeezing)
+        assert validation.run_criterion(2).name == "maximum-squeezing scaling"
+        monkeypatch.setattr(validation, "FAST_CRITERIA", (2,))
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--fast", "--out", str(out)]) == cli.EXIT_NUMERIC
+        matrix = json.loads((out / "validate_matrix.json").read_text())
+        assert matrix["criteria"]["2"]["name"] == "maximum-squeezing scaling"
 
     def test_fast_tier(self, tmp_path):
         out = tmp_path / "val"

@@ -184,6 +184,13 @@ class TestKerrBeamSplitter:
         want_n = alpha_mag ** 2 + alpha_mag * phi * np.exp(-s / 2) / (1 - np.exp(-2 * s))
         assert abs(opt.mean_n - want_n) < 1e-12
 
+    def test_vacuum_input_optimum_is_trivial(self):
+        # with no amplitude the excess vanishes for every reflected amplitude
+        for r in (0.0, 0.5, 2.0):
+            assert cf.kerr_bs_excess(0.0, 0.0, 0.25, r, 1.0).excess == 0.0
+        opt = cf.kerr_bs_optimum(0.0, 0.25)
+        assert (opt.excess, opt.mean_n, opt.r_opt) == (0.0, 0.0, 0.0)
+
     def test_optimum_extremizes_excess(self):
         # at |alpha| phi = 1 the printed optimum matches direct minimization
         alpha_mag, phi = 4.0, 0.25
@@ -281,6 +288,12 @@ class TestDownConversionKernel:
         vals = [abs(cf.downconv_kernel(dz, k0).value) for dz in dzs]
         slope = np.polyfit(np.log(dzs), np.log(vals), 1)[0]
         assert abs(-slope - 2.0) < 0.1
+
+    def test_decay_exponent_fit(self):
+        # both envelope ranges in use (the CLI's m < 40, criterion 11's m < 60)
+        for k0 in (2.5, 3.0, 3.5):
+            for m_stop in (40, 60):
+                assert abs(cf.downconv_decay_exponent(k0, m_stop) - 2.0) < 0.1
 
     def test_symmetrized_branches(self):
         k0 = 3.0

@@ -375,6 +375,18 @@ class TestSteadyState:
         with pytest.raises(AmbiguityError, match=r"from rho\[1, 1\]"):
             evolve.steady_state(model)
 
+    def test_singular_ilu_named_by_rung(self):
+        # an exactly singular incomplete factor is reported at the rung
+        # that met it, not in SuperLU's words
+        space = fock.make_space([4])
+        model = models.ModelSpec(space, 0.0 * fock.number_operator(space, 0),
+                                 dissipators=((fock.number_operator(space, 0), 0.5),))
+        with pytest.raises(AmbiguityError) as info:
+            evolve.steady_state(model)
+        message = str(info.value)
+        assert f"singular incomplete LU factor at drop_tol {evolve.ILU_LADDER[-1][0]}" in message
+        assert ".c" not in message and "\n" not in message
+
     def test_population_degenerate_null_space_detected(self):
         for dim in (3, 6):
             model = _population_degenerate(dim)
