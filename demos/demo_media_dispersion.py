@@ -6,7 +6,6 @@ Run:  python demos/demo_media_dispersion.py
 """
 
 import numpy as np
-from scipy.constants import epsilon_0
 
 from nlo_quanta import media
 
@@ -32,7 +31,7 @@ spectrum = media.chi2_mixing_spectrum([(2.0, 1.3), (3.1, 0.7)], chi2=4e-12)
 for freq, amp in spectrum:
     label = {0.0: "DC", 1.1: "difference", 4.0: "2nd harmonic (tone 1)",
              5.1: "sum", 6.2: "2nd harmonic (tone 2)"}[round(freq, 6)]
-    print(f"  {freq:4.1f} rad/s: {amp / epsilon_0:.3e} * eps0   ({label})")
+    print(f"  {freq:4.1f} rad/s: {amp / media.EPS0:.3e} * eps0   ({label})")
 
 print()
 print("=== intensity-dependent susceptibility ===")
@@ -43,9 +42,9 @@ for e0 in (0.0, 1e7, 1e8):
 
 print()
 print("=== dispersion relation and mode normalization ===")
-coeffs = media.DispersionCoeffs(beta_nu=1.0 / (2.25 * epsilon_0),
-                                beta_nu_prime=2e-27 / epsilon_0,
-                                beta_nu_dblprime=1e-43 / epsilon_0)
+coeffs = media.DispersionCoeffs(beta_nu=1.0 / (2.25 * media.EPS0),
+                                beta_nu_prime=2e-27 / media.EPS0,
+                                beta_nu_dblprime=1e-43 / media.EPS0)
 print(f"{'k [1/m]':>9} {'omega_+ [rad/s]':>16} {'v_k [m/s]':>12} {'A_k':>10}")
 for k in (2e6, 8e6, 1.6e7):
     w_plus, _ = media.dispersion_omega(k, coeffs)

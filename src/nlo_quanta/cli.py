@@ -31,7 +31,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import epsilon_0
 
 from . import __version__
 from . import closed_form as cf
@@ -333,9 +332,9 @@ def run_medium(p: dict):
 
 def run_dispersion(p: dict):
     coeffs = media.DispersionCoeffs(
-        beta_nu=p["beta_nu_rel"] / epsilon_0,
-        beta_nu_prime=p["beta_prime_s"] / epsilon_0,
-        beta_nu_dblprime=p["beta_dblprime_s2"] / epsilon_0,
+        beta_nu=p["beta_nu_rel"] / media.EPS0,
+        beta_nu_prime=p["beta_prime_s"] / media.EPS0,
+        beta_nu_dblprime=p["beta_dblprime_s2"] / media.EPS0,
     )
     table = _sweep(
         "dispersion", ("k", "1/m"), np.linspace(p["k_min"], p["k_max"], p["points"]),

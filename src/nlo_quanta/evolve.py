@@ -31,12 +31,14 @@ Numerical routes
   no ILU rung solves is taken to be singular and raises AmbiguityError. A
   dense eigendecomposition per real sector is the slow reference.
 
-``scipy.integrate`` is imported on the first transient, not with this
-module: no CLI command and no acceptance criterion integrates one, and the
-import (which also loads ``scipy.optimize``, ``scipy.special`` and
-``scipy.fft``) would otherwise be paid by every run. ``solve_ivp`` stays a
-module-level name so that a tracer can wrap it, as it wraps ``np`` and
-``spla``.
+No scipy module is loaded with this module. ``sp`` and ``spla`` are
+``LazyModule`` stand-ins that import ``scipy.sparse`` and
+``scipy.sparse.linalg`` on their first attribute read, and
+``scipy.integrate`` is imported on the first transient: six CLI commands
+compute closed forms and use none of them, and no CLI command and no
+acceptance criterion integrates a transient, so each import would otherwise
+be paid by every run. ``np``, ``spla`` and ``solve_ivp`` stay module-level
+names, which a tracer swaps and restores by identity.
 """
 
 from __future__ import annotations
@@ -46,13 +48,15 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from ._lazy import LazyModule
 from .errors import AmbiguityError, ContractError, NumericsError
 from .fock import (HERMITICITY_TOL, NEGATIVE_EIGENVALUE_FLOOR, FieldOperator, QuantumState,
                    expectation, sectors)
 from .models import ModelSpec
+
+sp = LazyModule("scipy.sparse")
+spla = LazyModule("scipy.sparse.linalg")
 
 DENSE_EVOLVE_DIM = 512
 PURE_NORM_TOL = 1e-9

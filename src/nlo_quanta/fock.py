@@ -19,8 +19,8 @@ from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._lazy import LazyModule
 from .errors import (
     ContractError,
     InvalidSpaceError,
@@ -29,6 +29,9 @@ from .errors import (
     ParameterError,
     TruncationError,
 )
+
+# imported on first use, so the closed-form CLI commands never load it
+sp = LazyModule("scipy.sparse")
 
 SPARSE_THRESHOLD = 256
 

@@ -2,19 +2,29 @@
 dispersion relation / mode normalization of a dispersive dielectric.
 
 This is the one SI module: epsilon_0, mu_0, and hbar appear explicitly
-because the formulas carry them. The rotating-wave approximation is built
-into the two-level results, and the adiabatic switch-on is assumed already
-completed (steady-state response only).
+because the formulas carry them. They are the CODATA 2022 values, written
+here rather than read from ``scipy.constants``, so that results do not
+depend on the CODATA edition of the installed scipy (scipy 1.17 gives the
+same floats). The rotating-wave approximation is built into the two-level
+results, and the adiabatic switch-on is assumed already completed
+(steady-state response only).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0 as EPS0, hbar as HBAR, mu_0 as MU0
 
 from .errors import DomainError, ParameterError
+
+#: vacuum permittivity (F/m), CODATA 2022
+EPS0 = 8.8541878188e-12
+#: vacuum permeability (N/A^2), CODATA 2022
+MU0 = 1.25663706127e-06
+#: reduced Planck constant (J s); h is exact in the SI
+HBAR = 6.62607015e-34 / (2 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import epsilon_0, hbar
 
 from . import closed_form as cf
 from . import diagnostics as dg
@@ -236,9 +235,9 @@ def check_two_level_susceptibilities() -> tuple[bool, dict]:
                          - media.two_level_polarization_cubic(p)) * e0)
     slope = float(np.polyfit(np.log(e0s), np.log(diffs), 1)[0])
     p = media.TwoLevelParams(delta=0.7, gE=0.0, g=1.3)
-    chi1_dev = abs(media.chi1_two_level(p) - (-hbar * 1.3 ** 2 / (epsilon_0 * 0.7)))
+    chi1_dev = abs(media.chi1_two_level(p) - (-media.HBAR * 1.3 ** 2 / (media.EPS0 * 0.7)))
     chi3_dev = abs(media.chi3_two_level(p)
-                   - hbar * 1.3 ** 4 / (3 * np.pi * epsilon_0 * 0.7 ** 3))
+                   - media.HBAR * 1.3 ** 4 / (3 * np.pi * media.EPS0 * 0.7 ** 3))
     passed = abs(slope - 5.0) < 0.3 and chi1_dev == 0.0 and chi3_dev == 0.0
     return passed, {"slope": slope, "slope_target": 5.0, "slope_tolerance": 0.3,
                     "chi1_dev": float(chi1_dev), "chi3_dev": float(chi3_dev)}
@@ -249,9 +248,9 @@ def check_dispersion_consistency() -> tuple[bool, dict]:
     both mode-normalization forms agree to 1e-10 over a 100-point k sweep;
     finite-difference group velocity matches the analytic form to 1e-6."""
     coeffs = media.DispersionCoeffs(
-        beta_nu=1.0 / (2.25 * epsilon_0),
-        beta_nu_prime=2e-27 / epsilon_0,
-        beta_nu_dblprime=1e-43 / epsilon_0,
+        beta_nu=1.0 / (2.25 * media.EPS0),
+        beta_nu_prime=2e-27 / media.EPS0,
+        beta_nu_dblprime=1e-43 / media.EPS0,
     )
     ks = np.linspace(1e6, 2e7, 100)
     worst_res, worst_vk = 0.0, 0.0

@@ -46,25 +46,30 @@ class TestArgHandling:
 
 
 def test_import_defers_optional_scipy_submodules():
-    # the CLI's start-up cost: these load on first use, not on import; the
-    # module names checked last are the ones a tracer swaps by name. The
-    # squeeze runner checks its optimum without scipy.optimize
+    # the CLI's start-up cost: importing it loads no scipy module, and the
+    # six commands that compute closed forms never load one; the names
+    # checked last are the ones a tracer swaps by name
+    commands = ["squeeze", "kerr", "oscillator", "medium", "dispersion", "downconv"]
     probe = (
         "import json, sys\n"
         "import nlo_quanta.cli as cli\n"
         "from nlo_quanta import evolve, soliton\n"
-        "loaded = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft',\n"
-        "                      'scipy.special') if m in sys.modules]\n"
-        "cli.run_squeeze(cli.build_config('squeeze', {}, 0, 1, False).params)\n"
-        "print(json.dumps({\n"
-        "    'loaded': loaded, 'squeeze': 'scipy.optimize' in sys.modules,\n"
-        "    'names': [hasattr(evolve, 'np'), hasattr(evolve, 'spla'),\n"
-        "              callable(getattr(evolve, 'solve_ivp', None)), hasattr(soliton, 'np')]}))\n")
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "loaded = {'import': scipy_modules()}\n"
+        f"for command in {commands!r}:\n"
+        "    cli.RUNNERS[command](cli.build_config(command, {}, 0, 1, False).params)\n"
+        "    loaded[command] = scipy_modules()\n"
+        "names = [hasattr(evolve, 'np'), hasattr(evolve, 'spla'),\n"
+        "         callable(getattr(evolve, 'solve_ivp', None)), hasattr(soliton, 'np')]\n"
+        "import scipy.sparse.linalg\n"
+        "print(json.dumps({'loaded': loaded, 'names': names,\n"
+        "                  'gmres': evolve.spla.gmres is scipy.sparse.linalg.gmres}))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"loaded": [], "squeeze": False,
-                                       "names": [True, True, True, True]}
+    assert json.loads(proc.stdout) == {"loaded": {c: [] for c in ["import", *commands]},
+                                       "names": [True, True, True, True], "gmres": True}
 
 
 class TestConfigValidation:

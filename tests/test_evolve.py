@@ -1,4 +1,7 @@
+import hashlib
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -575,6 +578,22 @@ class TestSteadyState:
             evolve.steady_state(model)
         rho, rho_1 = runs
         assert rho.shape == (model.space.total_dim,) * 2 and np.array_equal(rho, rho_1)
+
+    def test_first_sparse_solve_in_fresh_interpreter_bit_identical(self):
+        # evolve imports scipy.sparse.linalg on first use, so in a fresh
+        # interpreter the pool's worker makes its first read of evolve.spla
+        # while the calling thread may still be making its own
+        probe = (
+            "import hashlib, sys\n"
+            "from nlo_quanta import evolve, fock, models\n"
+            "model = models.dpo_model(fock.make_space([6, 4]), 0.3, 0.8, 0.7, 0.9)\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+            "print(hashlib.sha256(evolve.steady_state(model).data.tobytes()).hexdigest())\n")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rho = evolve.steady_state(_dpo((6, 4))).data
+        assert proc.stdout.strip() == hashlib.sha256(rho.tobytes()).hexdigest()
 
     def test_lowest_failing_sector_named(self, monkeypatch):
         # GMRES fails, after a random delay, on every system of a sector

@@ -1,9 +1,22 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.constants import epsilon_0, hbar, mu_0
 
 from nlo_quanta import media
 from nlo_quanta.errors import DomainError, ParameterError
+from nlo_quanta.media import EPS0, HBAR, MU0
+
+
+def test_si_constants_are_codata_2022():
+    # written out, so outputs do not follow the installed scipy's CODATA
+    # edition; the 2018 edition has eps0 = 8.8541878128e-12 and
+    # mu0 = 1.25663706212e-06
+    assert EPS0 == 8.8541878188e-12
+    assert MU0 == 1.25663706127e-06
+    assert HBAR == 6.62607015e-34 / (2 * math.pi)
+    # both editions keep eps0 mu0 c^2 = 1 to their quoted digits (c exact)
+    assert abs(EPS0 * MU0 * 299792458.0 ** 2 - 1.0) < 1e-11
 
 
 class TestTwoLevelRoots:
@@ -41,13 +54,13 @@ class TestTwoLevelRoots:
 class TestPolarization:
     def test_zero_field_limit(self):
         p = media.TwoLevelParams(delta=1.3, gE=0.0, n_density=2.0, g=1.1)
-        want = -2.0 * hbar * 1.1 ** 2 / 1.3
+        want = -2.0 * HBAR * 1.1 ** 2 / 1.3
         assert abs(media.two_level_polarization(p) - want) < 1e-48
 
     def test_exact_equals_mu_form(self):
         p = media.TwoLevelParams(delta=0.9, gE=0.3, n_density=1.0, g=1.0)
         mu_p, _ = media.two_level_mu(p)
-        direct = -1.0 * hbar * 1.0 * mu_p / (p.gE ** 2 + mu_p ** 2)
+        direct = -1.0 * HBAR * 1.0 * mu_p / (p.gE ** 2 + mu_p ** 2)
         assert abs(media.two_level_polarization(p) - direct) < 1e-46
 
     def test_attractive_sign(self):
@@ -82,15 +95,15 @@ class TestSusceptibilities:
 
         assert abs(ratio(2.0) - ratio(5.0)) / abs(ratio(2.0)) < 1e-12
         # the constant is eps0/(3 pi hbar delta)
-        assert abs(ratio(2.0) - epsilon_0 / (3 * np.pi * hbar * 1.0)) \
-            / (epsilon_0 / (3 * np.pi * hbar)) < 1e-12
+        assert abs(ratio(2.0) - EPS0 / (3 * np.pi * HBAR * 1.0)) \
+            / (EPS0 / (3 * np.pi * HBAR)) < 1e-12
 
     def test_series_matches_chi_formulas(self):
         # cubic coefficient / chi3 relation fixed by the Fourier convention
         p0 = media.TwoLevelParams(delta=1.2, gE=0.0, g=1.0)
         chi1 = media.chi1_two_level(p0)
-        linear_coef = -hbar / 1.2  # coefficient of E0 in P(t) at unit density
-        assert abs(epsilon_0 * chi1 - linear_coef) < 1e-46
+        linear_coef = -HBAR / 1.2  # coefficient of E0 in P(t) at unit density
+        assert abs(EPS0 * chi1 - linear_coef) < 1e-46
 
 
 class TestMixingSpectrum:
@@ -98,14 +111,14 @@ class TestMixingSpectrum:
         chi2 = 4e-12
         spec = dict(media.chi2_mixing_spectrum([(2.0, 1.5)], chi2))
         assert set(spec) == {0.0, 4.0}
-        assert abs(spec[0.0] - epsilon_0 * chi2 * 1.5 ** 2 / 2) < 1e-30
-        assert abs(spec[4.0] - epsilon_0 * chi2 * 1.5 ** 2 / 2) < 1e-30
+        assert abs(spec[0.0] - EPS0 * chi2 * 1.5 ** 2 / 2) < 1e-30
+        assert abs(spec[4.0] - EPS0 * chi2 * 1.5 ** 2 / 2) < 1e-30
 
     def test_two_tone_layout(self):
         spec = dict(media.chi2_mixing_spectrum([(2.0, 1.3), (3.1, 0.7)], 4e-12))
         assert set(spec) == {0.0, 4.0, 6.2, 5.1, 1.1}
-        assert abs(spec[5.1] - epsilon_0 * 4e-12 * 1.3 * 0.7) < 1e-30
-        assert abs(spec[1.1] - epsilon_0 * 4e-12 * 1.3 * 0.7) < 1e-30
+        assert abs(spec[5.1] - EPS0 * 4e-12 * 1.3 * 0.7) < 1e-30
+        assert abs(spec[1.1] - EPS0 * 4e-12 * 1.3 * 0.7) < 1e-30
 
     def test_zero_chi2_empty(self):
         assert media.chi2_mixing_spectrum([(2.0, 1.0)], 0.0) == []
@@ -116,9 +129,9 @@ class TestMixingSpectrum:
         spec = media.chi2_mixing_spectrum(tones, chi2)
         ts = np.linspace(0.0, 12.0, 400)
         field = sum(e * np.cos(w * ts) for w, e in tones)
-        direct = epsilon_0 * chi2 * field ** 2
+        direct = EPS0 * chi2 * field ** 2
         np.testing.assert_allclose(media.mixing_time_series(spec, ts), direct,
-                                   atol=1e-12 * epsilon_0 * chi2 + 1e-30)
+                                   atol=1e-12 * EPS0 * chi2 + 1e-30)
 
     def test_effective_kerr(self):
         assert media.effective_chi_kerr(1.0, 0.0, 5.0) == 1.0
@@ -132,18 +145,18 @@ class TestMixingSpectrum:
 
 
 DISPERSION = media.DispersionCoeffs(
-    beta_nu=1.0 / (2.25 * epsilon_0),
-    beta_nu_prime=2e-27 / epsilon_0,
-    beta_nu_dblprime=1e-43 / epsilon_0,
+    beta_nu=1.0 / (2.25 * EPS0),
+    beta_nu_prime=2e-27 / EPS0,
+    beta_nu_dblprime=1e-43 / EPS0,
 )
 
 
 class TestDispersion:
     def test_nondispersive_reduction(self):
-        c = media.DispersionCoeffs(beta_nu=1.0 / (2.25 * epsilon_0))
+        c = media.DispersionCoeffs(beta_nu=1.0 / (2.25 * EPS0))
         k = 1e7
         w_plus, w_minus = media.dispersion_omega(k, c)
-        want = k * np.sqrt(c.beta_nu / mu_0)
+        want = k * np.sqrt(c.beta_nu / MU0)
         assert abs(w_plus - want) / want < 1e-14
         assert abs(w_minus - want) / want < 1e-14
 
@@ -162,7 +175,7 @@ class TestDispersion:
             assert abs(fd - an) / an < 1e-6
 
     def test_denominator_guard(self):
-        c = media.DispersionCoeffs(beta_nu=1.0 / epsilon_0,
+        c = media.DispersionCoeffs(beta_nu=1.0 / EPS0,
                                    beta_nu_dblprime=1e-6)
         with pytest.raises(DomainError):
             media.dispersion_omega(1e7, c)
@@ -170,9 +183,9 @@ class TestDispersion:
 
 class TestModeNorm:
     def test_nondispersive_form(self):
-        c = media.DispersionCoeffs(beta_nu=1.0 / (2.25 * epsilon_0))
+        c = media.DispersionCoeffs(beta_nu=1.0 / (2.25 * EPS0))
         k = 5e6
-        want = (mu_0 * k ** 2 * c.beta_nu) ** 0.25
+        want = (MU0 * k ** 2 * c.beta_nu) ** 0.25
         assert abs(media.mode_norm_Ak(k, c) - want) / want < 1e-14
 
     def test_group_velocity_form_agreement_sweep(self):
@@ -184,7 +197,7 @@ class TestModeNorm:
         k = 1e7
         a_k = media.mode_norm_Ak(k, DISPERSION)
         w_plus = media.dispersion_omega(k, DISPERSION)[0]
-        rhs = mu_0 * w_plus - 0.5 * k ** 2 * DISPERSION.beta1_deriv(w_plus)
+        rhs = MU0 * w_plus - 0.5 * k ** 2 * DISPERSION.beta1_deriv(w_plus)
         assert abs(a_k ** 2 - rhs) / rhs < 1e-12
 
     def test_k_validation(self):
