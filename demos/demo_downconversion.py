@@ -22,14 +22,14 @@ k0 = 3.0
 print(f"k0 = {k0}; kernel at Delta Z = 0 is k0^3/6 = {k0 ** 3 / 6:.4f}")
 print(f"{'Delta Z':>8} {'|kernel|':>10} {'|quadrature|':>13} {'2 k0 / dz^2':>12}")
 for dz in (0.0, 0.5, 2.0, 2 * np.pi, 4 * np.pi, 8 * np.pi):
-    closed = abs(cf.downconv_kernel(dz, k0).value)
+    closed = abs(cf.downconv_kernel(dz, k0))
     quad = abs(cf.downconv_kernel_quadrature(dz, k0, 4001))
     envelope = 2 * k0 / dz ** 2 if dz else float("inf")
     print(f"{dz:8.3f} {closed:10.5f} {quad:13.5f} {envelope:12.5f}")
 
 ms = np.arange(3, 60)
 dzs = 2 * np.pi * ms / k0
-vals = [abs(cf.downconv_kernel(dz, k0).value) for dz in dzs]
+vals = [abs(cf.downconv_kernel(dz, k0)) for dz in dzs]
 slope = -np.polyfit(np.log(dzs), np.log(vals), 1)[0]
 print(f"fitted far-field decay exponent: {slope:.3f}  (coincident detection"
       " is most likely; likelihood falls off as 1/(Delta Z)^2)")

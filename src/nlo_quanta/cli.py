@@ -349,7 +349,7 @@ def run_downconv(p: dict):
     k0 = p["k0"]
 
     def point(dz):
-        v = cf.downconv_kernel(dz, k0).value
+        v = cf.downconv_kernel(dz, k0)
         return abs(v), v.real, v.imag, abs(cf.downconv_kernel_quadrature(dz, k0, 2001))
 
     table = _sweep(
@@ -550,8 +550,7 @@ def main(argv=None) -> int:
                         help=f"one of: {' | '.join(COMMANDS)}")
     parser.add_argument("--config", metavar="PATH", help="INI scenario config")
     parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: NLO_QUANTA_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     parser.add_argument("--fast", action="store_true",
                         help="validate only: run the fast criteria tier")
     args = parser.parse_args(argv)
@@ -565,12 +564,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("NLO_QUANTA_THREADS", "1")
-        threads = int(env) if env.isdecimal() else 0
-    if threads < 1:
-        print("error: --threads and NLO_QUANTA_THREADS must be integers >= 1", file=sys.stderr)
+    if args.threads < 1:
+        print("error: --threads must be an integer >= 1", file=sys.stderr)
         return EXIT_CONFIG
 
     command = args.command
@@ -579,7 +574,7 @@ def main(argv=None) -> int:
             command, raw, seed = parse_config_file(args.config, args.command)
         else:
             command, raw, seed = args.command, {}, 0
-        cfg = build_config(command, raw, seed, threads, args.fast)
+        cfg = build_config(command, raw, seed, args.threads, args.fast)
         result = run(cfg, args.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -254,23 +254,6 @@ def phase_match_h(dk, lengths) -> float:
     return float(out)
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    """One sample of the pair-correlation kernel.
-
-    ``delta_z`` is (z2 - z1) - c (t2' - t1'); ``value`` the kernel bracket,
-    finite for all delta_z including 0 where it equals k0^3/6.
-    """
-
-    delta_z: float
-    k0: float
-    value: complex
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise DomainError("kernel value must be finite")
-
-
 _SERIES_CUTOVER = 1.0
 
 
@@ -286,8 +269,9 @@ def _kernel_series(x: float) -> complex:
     return total
 
 
-def downconv_kernel(delta_z: float, k0: float) -> KernelPoint:
-    """Spatial decay factor of the photon-pair detection amplitude:
+def downconv_kernel(delta_z: float, k0: float) -> complex:
+    """Spatial decay factor of the photon-pair detection amplitude, the
+    kernel bracket at delta_z = (z2 - z1) - c (t2' - t1'):
 
         2i (1 - e^{i k0 dz}) / dz^3 - k0 (1 + e^{i k0 dz}) / dz^2,
 
@@ -295,17 +279,24 @@ def downconv_kernel(delta_z: float, k0: float) -> KernelPoint:
     bracket equals the line integral int_0^{k0} q (k0 - q) e^{i q dz} dq, so
     small |k0 dz| is evaluated by the series to avoid catastrophic
     cancellation. The overall proportionality constant is dropped; only
-    shape, limits, and the 1/dz^2 decay envelope are meaningful.
+    shape, limits, and the 1/dz^2 decay envelope are meaningful. Returns
+    the complex value; raises ParameterError unless k0 > 0, and DomainError
+    when k0 dz or the value is not finite.
     """
     if k0 <= 0:
         raise ParameterError("k0 must be positive")
     x = k0 * delta_z
+    if not np.isfinite(x):
+        raise DomainError("k0 * delta_z must be finite")
     if abs(x) < _SERIES_CUTOVER:
         value = k0 ** 3 * _kernel_series(x)
     else:
         e = np.exp(1j * x)
         value = 2j * (1.0 - e) / delta_z ** 3 - k0 * (1.0 + e) / delta_z ** 2
-    return KernelPoint(delta_z=float(delta_z), k0=float(k0), value=complex(value))
+    value = complex(value)
+    if not np.isfinite(value):
+        raise DomainError("kernel value must be finite")
+    return value
 
 
 def downconv_decay_exponent(k0: float, m_stop: int) -> float:
@@ -314,7 +305,7 @@ def downconv_decay_exponent(k0: float, m_stop: int) -> float:
     envelope points dz = 2 pi m / k0, m = 3, ..., m_stop - 1 (2 for the
     1/dz^2 envelope)."""
     dzs = 2.0 * np.pi * np.arange(3, m_stop) / k0
-    vals = np.array([abs(downconv_kernel(dz, k0).value) for dz in dzs])
+    vals = np.array([abs(downconv_kernel(dz, k0)) for dz in dzs])
     return -float(np.polyfit(np.log(dzs), np.log(vals), 1)[0])
 
 
@@ -325,7 +316,7 @@ def downconv_kernel_symmetrized(delta_z: float, k0: float) -> complex:
     maps delta_z -> -delta_z; the relative propagation phases are dropped
     along with the overall constant.
     """
-    return downconv_kernel(delta_z, k0).value + downconv_kernel(-delta_z, k0).value
+    return downconv_kernel(delta_z, k0) + downconv_kernel(-delta_z, k0)
 
 
 def downconv_kernel_quadrature(delta_z: float, k0: float, n_points: int = 2001) -> complex:

@@ -53,10 +53,6 @@ class CriterionReport:
     margin: float
     extras: tuple = ()
 
-    @property
-    def conclusive(self) -> bool:
-        return self.verdict != "inconclusive"
-
     def extras_dict(self) -> dict:
         return dict(self.extras)
 

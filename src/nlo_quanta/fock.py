@@ -86,13 +86,6 @@ class SpaceDescriptor:
             idx = idx * d + n
         return idx
 
-    def occupation_of(self, flat: int) -> tuple[int, ...]:
-        occ = []
-        for d in reversed(self.dims):
-            occ.append(flat % d)
-            flat //= d
-        return tuple(reversed(occ))
-
     def number_values(self, mode: int) -> np.ndarray:
         """Photon number of the given mode for every flat basis index."""
         self.check_mode(mode)
@@ -131,10 +124,6 @@ class FieldOperator:
         if self.matrix.shape != (n, n):
             raise ContractError(
                 f"operator shape {self.matrix.shape} does not match space dim {n}")
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
 
     def dense(self) -> np.ndarray:
         return _as_dense(self.matrix).astype(complex, copy=False)
@@ -478,7 +467,13 @@ def variance(state: QuantumState, op: FieldOperator) -> float:
 
 
 def partial_trace(state: QuantumState, keep_modes: Sequence[int]) -> QuantumState:
-    """Reduced density matrix over the kept modes (in their original order)."""
+    """Reduced density matrix over the kept modes (in their original order).
+
+    A pure state with one traced mode never builds its full density: the
+    outer products of the columns M[:, j] of psi, its traced axis last, are
+    summed over j in order, the same sums as the trace of the density route,
+    so the result is bit-identical to it.
+    """
     keep = sorted(set(int(m) for m in keep_modes))
     if not keep:
         raise ContractError("keep_modes must be nonempty")
@@ -486,13 +481,19 @@ def partial_trace(state: QuantumState, keep_modes: Sequence[int]) -> QuantumStat
         state.space.check_mode(m)
     dims = state.space.dims
     traced = [m for m in range(len(dims)) if m not in keep]
-    rho = state.density().reshape(dims + dims)
-    n = len(dims)
-    for m in sorted(traced, reverse=True):
-        rho = np.trace(rho, axis1=m, axis2=m + n)
-        n -= 1
     kept_dims = tuple(dims[m] for m in keep)
     d = prod(kept_dims)
-    rho = rho.reshape(d, d)
+    if state.is_pure and len(traced) == 1:
+        M = np.moveaxis(state.data.reshape(dims), traced[0], -1).reshape(d, -1)
+        rho = np.zeros((d, d), dtype=complex)
+        for j in range(M.shape[1]):
+            rho += np.multiply.outer(M[:, j], M[:, j].conj())
+    else:
+        rho = state.density().reshape(dims + dims)
+        n = len(dims)
+        for m in sorted(traced, reverse=True):
+            rho = np.trace(rho, axis1=m, axis2=m + n)
+            n -= 1
+        rho = rho.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     return QuantumState(make_space(kept_dims), "density", rho, state.tail_mass)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._lazy import LazyModule
 from .errors import ContractError, ParameterError, TruncationError
 from .fock import (
     HERMITICITY_TOL,
@@ -27,6 +28,9 @@ from .fock import (
     number_operator,
     _pack,
 )
+
+# imported on first use, so the closed-form CLI commands never load it
+sp = LazyModule("scipy.sparse")
 
 CHARGE_COMMUTATOR_TOL = 1e-10
 
@@ -125,7 +129,7 @@ def h_kerr_single(space: SpaceDescriptor, omega: float, kappa: float) -> ModelSp
     _require_modes(space, 1, "h_kerr_single")
     n = space.number_values(0).astype(float)
     diag = omega * n + 0.5 * kappa * n * (n - 1.0)
-    H = _pack(space, np.diag(diag.astype(complex)))
+    H = _pack(space, sp.diags(diag.astype(complex), 0, format="csr"))
     return ModelSpec(
         space, H, charges={"n": number_operator(space, 0)},
         kind="kerr_single", params={"omega": omega, "kappa": kappa},
@@ -143,7 +147,7 @@ def h_kerr_cross(space: SpaceDescriptor, omega1: float, omega2: float,
     na = space.number_values(0).astype(float)
     nb = space.number_values(1).astype(float)
     diag = omega1 * na + omega2 * nb + 0.5 * kappa * na * nb
-    H = _pack(space, np.diag(diag.astype(complex)))
+    H = _pack(space, sp.diags(diag.astype(complex), 0, format="csr"))
     return ModelSpec(
         space, H,
         charges={"n_a": number_operator(space, 0), "n_b": number_operator(space, 1)},
@@ -185,27 +189,22 @@ def h_nphoton(space: SpaceDescriptor, omega: float, kappa_n: float, n: int) -> M
     )
 
 
-def h_parametric_classical_pump(
-    space: SpaceDescriptor,
-    kappa: float,
-    beta: complex,
-    phi_p: float | None = None,
-) -> ModelSpec:
+def h_parametric_classical_pump(space: SpaceDescriptor, kappa: float,
+                                beta: complex) -> ModelSpec:
     """Single-mode parametric model with the pump replaced by a c-number.
 
     In the frame rotating with the free field the generator is the static
 
         H_p = i (kappa/2) sqrt(N_p) [e^{i phi_p} (a-dag)^2 - e^{-i phi_p} a^2]
 
-    with N_p = |beta|^2, so u = kappa*sqrt(N_p)*t is the squeeze parameter.
-
-    ``phi_p`` overrides the pump phase; by default it is arg(beta).
+    with N_p = |beta|^2 and phi_p = arg(beta), so u = kappa*sqrt(N_p)*t is
+    the squeeze parameter.
     """
     _require_modes(space, 1, "h_parametric_classical_pump")
     np_pump = abs(beta) ** 2
     if np_pump <= 0:
         raise ParameterError("pump amplitude must be nonzero")
-    phase = float(np.angle(beta)) if phi_p is None else float(phi_p)
+    phase = float(np.angle(beta))
     a = annihilation(space, 0)
     ad2 = a.dag() @ a.dag()
     gain = 0.5 * kappa * np.sqrt(np_pump)

@@ -301,10 +301,10 @@ def check_downconv_kernel() -> tuple[bool, dict]:
     """Kernel's dz -> 0 series limit, fitted far-field decay exponent
     2.0 +/- 0.1, and peak agreement with the momentum-grid quadrature."""
     k0 = 3.0
-    limit_dev = abs(cf.downconv_kernel(0.0, k0).value - k0 ** 3 / 6.0) / (k0 ** 3 / 6.0)
+    limit_dev = abs(cf.downconv_kernel(0.0, k0) - k0 ** 3 / 6.0) / (k0 ** 3 / 6.0)
     exponent = cf.downconv_decay_exponent(k0, 60)
     scan = np.linspace(-2.0, 2.0, 81)
-    closed = [abs(cf.downconv_kernel(z, k0).value) for z in scan]
+    closed = [abs(cf.downconv_kernel(z, k0)) for z in scan]
     quad = [abs(cf.downconv_kernel_quadrature(z, k0, 4001)) for z in scan]
     peak_match = scan[int(np.argmax(closed))] == 0.0 and scan[int(np.argmax(quad))] == 0.0
     quad_dev = abs(quad[40] - closed[40]) / closed[40]

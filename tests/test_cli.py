@@ -405,20 +405,10 @@ class TestValidateCommand:
         assert proc.returncode == cli.EXIT_CONFIG
         assert "refusing" in proc.stderr
 
-    def test_threads_env_fallback(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         out = tmp_path / "val"
-        import os
-
-        env = dict(os.environ, NLO_QUANTA_THREADS="2")
-        proc = subprocess.run(
-            [sys.executable, "-m", "nlo_quanta.cli", "validate", "--fast",
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == cli.EXIT_OK
-
-    def test_bad_threads_env_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NLO_QUANTA_THREADS", "abc")
-        out = tmp_path / "val"
-        assert cli.main(["validate", "--fast", "--out", str(out)]) == cli.EXIT_CONFIG
-        assert "NLO_QUANTA_THREADS" in capsys.readouterr().err
+        assert cli.main(["validate", "--fast", "--threads", threads,
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "--threads must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()

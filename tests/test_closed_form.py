@@ -4,7 +4,7 @@ import pytest
 from nlo_quanta import closed_form as cf
 from nlo_quanta import diagnostics as dg
 from nlo_quanta import evolve, fock, models
-from nlo_quanta.errors import ParameterError
+from nlo_quanta.errors import DomainError, ParameterError
 
 
 class TestParaSolution:
@@ -257,12 +257,11 @@ class TestPhaseMatching:
 class TestDownConversionKernel:
     def test_zero_limit_value(self):
         k0 = 3.0
-        pt = cf.downconv_kernel(0.0, k0)
-        assert abs(pt.value - k0 ** 3 / 6.0) < 1e-12
+        assert abs(cf.downconv_kernel(0.0, k0) - k0 ** 3 / 6.0) < 1e-12
 
     def test_continuity_toward_zero(self):
         k0 = 3.0
-        devs = [abs(cf.downconv_kernel(10.0 ** (-k) / k0, k0).value - k0 ** 3 / 6)
+        devs = [abs(cf.downconv_kernel(10.0 ** (-k) / k0, k0) - k0 ** 3 / 6)
                 for k in range(2, 7)]
         assert all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
 
@@ -272,12 +271,12 @@ class TestDownConversionKernel:
         for dz in (0.49999 / k0, 0.50001 / k0, 0.9 / k0, 1.5 / k0):
             closed = 2j * (1 - np.exp(1j * k0 * dz)) / dz ** 3 \
                 - k0 * (1 + np.exp(1j * k0 * dz)) / dz ** 2
-            assert abs(cf.downconv_kernel(dz, k0).value - closed) < 1e-9 * k0 ** 3
+            assert abs(cf.downconv_kernel(dz, k0) - closed) < 1e-9 * k0 ** 3
 
     def test_quadrature_oracle(self):
         k0 = 3.0
         for dz in (0.0, 0.7, 2.9, 11.0):
-            closed = cf.downconv_kernel(dz, k0).value
+            closed = cf.downconv_kernel(dz, k0)
             quad = cf.downconv_kernel_quadrature(dz, k0, 20001)
             assert abs(closed - quad) / abs(closed) < 1e-6
 
@@ -285,7 +284,7 @@ class TestDownConversionKernel:
         k0 = 3.0
         ms = np.arange(3, 60)
         dzs = 2 * np.pi * ms / k0
-        vals = [abs(cf.downconv_kernel(dz, k0).value) for dz in dzs]
+        vals = [abs(cf.downconv_kernel(dz, k0)) for dz in dzs]
         slope = np.polyfit(np.log(dzs), np.log(vals), 1)[0]
         assert abs(-slope - 2.0) < 0.1
 
@@ -298,8 +297,8 @@ class TestDownConversionKernel:
     def test_symmetrized_branches(self):
         k0 = 3.0
         dz = 1.3
-        v_plus = cf.downconv_kernel(dz, k0).value
-        v_minus = cf.downconv_kernel(-dz, k0).value
+        v_plus = cf.downconv_kernel(dz, k0)
+        v_minus = cf.downconv_kernel(-dz, k0)
         assert abs(cf.downconv_kernel_symmetrized(dz, k0) - (v_plus + v_minus)) < 1e-12
         # real integrand weight makes the exchange branch the conjugate
         assert abs(v_minus - np.conj(v_plus)) < 1e-12
@@ -307,3 +306,7 @@ class TestDownConversionKernel:
     def test_k0_validation(self):
         with pytest.raises(ParameterError):
             cf.downconv_kernel(0.5, 0.0)
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(DomainError):
+            cf.downconv_kernel(float("nan"), 3.0)
