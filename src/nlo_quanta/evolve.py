@@ -16,21 +16,26 @@ Numerical routes
   in float64, and maps back to an exactly hermitian rho. Transients run
   adaptive DOP853 on the real sectors rho0 occupies. Trace renormalization
   is deliberately off; trace drift is an error signal.
-* Steady states: the real sector of rho_00 carries the steady state. The
-  default route solves a trace-constrained system on it with
-  ILU-preconditioned GMRES. That system and every other real sector must
-  pass one check, a preconditioned GMRES solve on a random right-hand side
-  that shows them nonsingular, so a second null vector is caught whether
-  or not it has trace; so is a second sector holding populations rho_nn,
-  of which the trace functional is a left null vector. The calling thread
-  solves the population sector while max(1, usable CPUs - 1) workers check
-  the others (``_run_sectors``). Every ILU factors in the sector's own
-  row-major order of rho, which is already banded (``NATURAL``); minimum
-  degree only adds fill there. The trace row stays rho_00's, the first: a
-  trace row put last leaves some ILU rungs exactly singular. A sector that
-  no ILU rung solves is taken to be singular and raises AmbiguityError. This
-  is the one route; ``_steady_dense``, a dense eig per real sector, is its
-  private slow reference.
+* Steady states: one ladder walk per sector, check first. The real sector
+  of rho_00 carries the steady state; its system is that sector with the
+  row of rho_00 replaced by the trace functional, set equal to 1, and
+  every other real sector's system is the sector itself. Each system is
+  shown nonsingular by one check: GMRES on a fixed random right-hand side
+  (``_check_system``) must converge under an incomplete LU. One walk down
+  ``ILU_LADDER`` (``_solve_sector``) factors the system once per rung and
+  runs the check, then, on the population sector, the trace-constrained
+  solve; the first rung on which both converge serves. A sector that no
+  rung serves is taken to be singular and raises AmbiguityError naming it,
+  so a second null vector is caught whether or not it has trace, and so is
+  a second sector holding populations rho_nn, of which the trace
+  functional is a left null vector. The calling thread walks the
+  population sector while max(1, usable CPUs - 1) workers walk the others
+  (``_run_sectors``). Every ILU factors in the sector's own row-major
+  order of rho, which is already banded (``NATURAL``); minimum degree only
+  adds fill there. The trace row stays rho_00's, the first: a trace row
+  put last leaves some ILU rungs exactly singular. This is the one route;
+  ``_steady_dense``, a dense eig per real sector, is its private slow
+  reference.
 
 No scipy module is loaded with this module. ``sp`` and ``spla`` are
 ``LazyModule`` stand-ins that import ``scipy.sparse`` and
@@ -191,15 +196,16 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
     entries of its transpose-closed set at dims (10, 6). Each sample maps
     back to an exactly hermitian rho. Trace drift of ``TRACE_TOL`` or more
     raises NumericsError. DOP853 starts from rho0 at t = 0 and runs
-    forward, so sample times must be nondecreasing and >= 0, or
-    ContractError is raised.
+    forward, so sample times must be a nonempty, finite, nondecreasing
+    sequence starting at or after 0, or ContractError is raised.
     """
     if rho0.space != model.space:
         raise ContractError("state and model live on different spaces")
     rho0 = rho0.as_density_state()
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.min() < 0.0 or np.any(np.diff(times) < 0.0):
-        raise ContractError("Lindblad evolution needs nondecreasing times >= 0")
+    if not (times.size and np.isfinite(times).all() and times[0] >= 0.0
+            and np.all(np.diff(times) >= 0.0)):
+        raise ContractError("Lindblad evolution needs nonempty, finite, nondecreasing times >= 0")
     d = model.space.total_dim
     L = liouvillian(model)
     if np.all(times == 0.0):
@@ -225,17 +231,18 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
 ILU_LADDER = ((1e-1, 2), (3e-2, 2), (1e-3, 6))
 
 
-def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, idx: np.ndarray, d: int):
-    """GMRES on the system A x = rhs of the real sector at the flat
-    positions ``idx``, preconditioned by the first rung of ``ILU_LADDER``
-    whose incomplete LU lets it converge; returns the solution and the
-    preconditioner.
+def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int) -> list:
+    """The solutions of A x = rhs for each (rhs, rtol) of ``systems``, on
+    the real sector at the flat positions ``idx``: the one ladder walk of
+    the sector. Each rung of ``ILU_LADDER`` factors A once, and GMRES runs
+    on the systems in order under that incomplete LU; the solutions of the
+    first rung on which every one converges are returned.
 
     A is factored in its given order (``permc_spec="NATURAL"``): a sector's
     row-major order of rho is banded, and minimum degree only adds fill.
-    The order also keeps the trace row first, where ``_trace_row_system``
-    puts it. A sector that no rung solves is taken to be singular: it holds
-    a second null vector of L, and AmbiguityError names it.
+    The order also keeps the trace row first, where ``_steady_ilu`` puts
+    it. A sector that no rung solves is taken to be singular: it holds a
+    second null vector of L, and AmbiguityError names it.
     """
     n = A.shape[0]
     failure = "no rung tried"
@@ -247,14 +254,27 @@ def _solve_sector(A: sp.csc_matrix, rhs: np.ndarray, rtol: float, idx: np.ndarra
             failure = f"exactly singular incomplete LU factor at drop_tol {drop_tol}"
             continue
         M = spla.LinearOperator((n, n), ilu.solve, dtype=A.dtype)
-        x, info = spla.gmres(A, rhs, M=M, rtol=rtol, atol=0.0, restart=100, maxiter=400)
-        if info == 0:
-            return x, M
-        failure = f"GMRES did not converge (info {info}) at drop_tol {drop_tol}"
+        xs = []
+        for rhs, rtol in systems:
+            x, info = spla.gmres(A, rhs, M=M, rtol=rtol, atol=0.0, restart=100, maxiter=400)
+            if info != 0:
+                failure = f"GMRES did not converge (info {info}) at drop_tol {drop_tol}"
+                break
+            xs.append(x)
+        else:
+            return xs
     row, col = divmod(int(idx[0]), d)
     raise AmbiguityError(
         f"Liouvillian sector of {len(idx)} real unknowns from rho[{row}, {col}] looks singular, "
         f"so the null space is degenerate (preconditioned solve failed: {failure})")
+
+
+def _check_system(n: int) -> tuple:
+    """The nonsingularity check of a real sector system of order n: a fixed
+    random right-hand side, solved to rtol 1e-8. GMRES converges on a
+    singular system only for a consistent right-hand side, which a random
+    one is not."""
+    return np.random.default_rng(0).standard_normal(n), 1e-8
 
 
 def _closed_sectors(L: sp.csr_matrix, d: int) -> list[np.ndarray]:
@@ -269,8 +289,9 @@ def _hermitian_basis(block: np.ndarray, d: int):
     """Sparse maps S and S^-1 between the entries of rho on a sector closed
     under rho -> rho^T and real coordinates at the same positions: Re rho_nm
     at rho_nm's and Im rho_nm at rho_mn's for n < m, and rho_nn at its own.
-    S maps every real vector to a hermitian one. Its entries are 1 and +-i,
-    those of S^-1 are 1 and +-1/2 and +-i/2, so both products are exact.
+    S maps every real vector to a hermitian one. Its entries are 1 and +-i;
+    S^-1 = diag(w) S^H, with w = 1 on rho_nn's and 1/2 elsewhere, has
+    entries 1 and +-1/2 and +-i/2, so both products are exact.
     """
     n, m = np.divmod(block, d)
     upper = np.flatnonzero(n < m)
@@ -285,10 +306,7 @@ def _hermitian_basis(block: np.ndarray, d: int):
     k = len(block)
     S = sp.csc_matrix((np.concatenate([np.ones(len(diag)), ones, 1j * ones, ones, -1j * ones]),
                        (rows, cols)), shape=(k, k))
-    S_inv = sp.csc_matrix((np.concatenate([np.ones(len(diag)), 0.5 * ones, 0.5 * ones,
-                                           -0.5j * ones, 0.5j * ones]),
-                           (rows, cols)), shape=(k, k))
-    return S, S_inv
+    return S, (sp.diags(np.where(n == m, 1.0, 0.5)) @ S.conj().T).tocsc()
 
 
 def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int) -> sp.csc_matrix:
@@ -342,53 +360,23 @@ def _densities(xs, idx: np.ndarray, d: int):
     return ((S @ x).reshape(d, d) for x in xs)
 
 
-def _trace_row_system(L: sp.csc_matrix, pops: np.ndarray):
-    """Copy of L with its first row, rho_00's, replaced by the trace
-    functional, the sum of the entries at ``pops``, set equal to 1."""
-    n = L.shape[0]
-    C = L.tocoo()
-    keep = C.row != 0
-    rows = np.concatenate([C.row[keep], np.zeros(len(pops), dtype=C.row.dtype)])
-    cols = np.concatenate([C.col[keep], pops.astype(C.col.dtype)])
-    vals = np.concatenate([C.data[keep], np.ones(len(pops))])
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    return A, rhs
-
-
 def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int) -> np.ndarray:
-    """Trace-constrained solve on the real population sector Lr of L, at
-    the flat positions ``idx``: replace the row of rho_00 by Tr(rho) = 1,
-    precondition with an incomplete LU, and polish with GMRES. Returns the
-    density of the solution.
+    """The density of the steady state on the real population sector Lr of
+    L, at the flat positions ``idx``: the solution of Lr with the row of
+    rho_00 replaced by Tr(rho) = 1, solved after its check in the sector's
+    one ladder walk (``_solve_sector``; see the module docstring).
 
     The trace functional is a left null vector of Lr and is nonzero on
     rho_00's row, so that system is nonsingular exactly when the null space
-    of Lr is one-dimensional and spanned by a state of nonzero trace; it is
-    shown nonsingular as every other sector is (``_require_nonsingular``),
-    first under the solve's preconditioner.
+    of Lr is one-dimensional and spanned by a state of nonzero trace.
     """
-    A, rhs = _trace_row_system(Lr, np.flatnonzero(idx // d == idx % d))
-    x, M = _solve_sector(A, rhs, 1e-13, idx, d)
-    _require_nonsingular(A, idx, d, M)
+    trace_row = sp.csr_matrix((idx // d == idx % d).astype(float))
+    A = sp.vstack([trace_row, Lr[1:]], format="csc")
+    rhs = np.zeros(len(idx))
+    rhs[0] = 1.0
+    _, x = _solve_sector(A, [_check_system(len(idx)), (rhs, 1e-13)], idx, d)
     rho, = _densities([x], idx, d)
     return rho
-
-
-def _require_nonsingular(A: sp.csc_matrix, idx: np.ndarray, d: int, M=None):
-    """Show the real sector system A, at the flat positions ``idx``, to be
-    nonsingular: GMRES with a fixed random right-hand side must converge,
-    under the preconditioner M if one is given and serves, else under the
-    first rung of ``ILU_LADDER`` that does (``_solve_sector``, which raises
-    AmbiguityError naming the sector when none does). GMRES converges on a
-    singular system only for a consistent right-hand side, which a random
-    one is not. A singular sector without populations holds a traceless
-    null vector of L."""
-    rhs = np.random.default_rng(0).standard_normal(len(idx))
-    if M is None or spla.gmres(A, rhs, M=M, rtol=1e-8, atol=0.0, restart=100,
-                               maxiter=400)[1] != 0:
-        _solve_sector(A, rhs, 1e-8, idx, d)
 
 
 def _usable_cpus() -> int:
@@ -469,25 +457,10 @@ def steady_state(model: ModelSpec) -> QuantumState:
     L is split into its real sectors (``_real_sectors``): the
     transpose-closed sets of ``_closed_sectors``, each written in the real
     coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn and split again by
-    its own pattern. L is block diagonal over them. The trace functional is
-    a left null vector of every sector holding a population entry rho_nn,
-    so a second such sector fails the check below: one population sector
-    follows from the rule.
-
-    The one route works in float64: it solves the trace-constrained system
-    on the population sector alone with ILU-preconditioned GMRES and shows
-    every other real sector nonsingular, the Im half of the population set
-    included. The calling thread runs the population solve, and a thread
-    pool of max(1, usable CPUs - 1) workers (``os.sched_getaffinity``, else
-    ``os.cpu_count``) checks the other sectors; the caller takes back every
-    check that has not started when its own solve ends. The trace row is
-    rho_00's, and the ILUs factor in band order. One rule shows every real
-    sector nonsingular, the population sector's trace-constrained system
-    included: preconditioned GMRES on a fixed random right-hand side must
-    converge. A sector that no ``ILU_LADDER`` rung solves or shows
-    nonsingular raises AmbiguityError naming it, and when several fail the
-    one with the lowest first position is named. The private
-    ``_steady_dense`` is the slow reference.
+    its own pattern. L is block diagonal over them. They are solved and
+    shown nonsingular in float64 by one ladder walk per sector, check first,
+    as the module docstring sets out; when several sectors fail, the one
+    with the lowest first position is named.
     """
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
@@ -497,7 +470,8 @@ def steady_state(model: ModelSpec) -> QuantumState:
     real = _real_sectors(L, _closed_sectors(L, d), d)
     rho = _run_sectors(
         [functools.partial(_steady_ilu, real[0][1], real[0][0], d)]
-        + [functools.partial(_require_nonsingular, A, idx, d) for idx, A in real[1:]])
+        + [functools.partial(_solve_sector, A, [_check_system(len(idx))], idx, d)
+           for idx, A in real[1:]])
 
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:

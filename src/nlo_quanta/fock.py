@@ -416,7 +416,7 @@ def thermal_state(space: SpaceDescriptor, mean_occupations: Sequence[float]) -> 
     rho = np.ones((1, 1), dtype=complex)
     tail_total = 0.0
     for nbar, dim in zip(mean_occupations, space.dims):
-        if nbar < 0:
+        if not nbar >= 0:
             raise ParameterError("thermal occupation must be >= 0")
         n = np.arange(dim)
         p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar) if nbar > 0 else (n == 0).astype(float)

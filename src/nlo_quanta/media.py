@@ -43,9 +43,10 @@ class TwoLevelParams:
     g: float = 1.0
 
     def __post_init__(self):
-        if self.delta == 0.0:
-            raise ParameterError("resonance (delta = 0) is excluded from the steady-state formulas")
-        if self.gE < 0 or self.n_density < 0:
+        if not abs(self.delta) > 0.0:
+            raise ParameterError("delta must be a nonzero number: resonance (delta = 0) is excluded "
+                                 "from the steady-state formulas")
+        if not (self.gE >= 0 and self.n_density >= 0):
             raise ParameterError("gE and n_density must be >= 0")
 
 
@@ -164,8 +165,10 @@ class DispersionCoeffs:
     beta_nu_dblprime: float = 0.0
 
     def __post_init__(self):
-        if self.beta_nu <= 0:
+        if not self.beta_nu > 0:
             raise ParameterError("beta_nu must be positive")
+        if not (math.isfinite(self.beta_nu_prime) and math.isfinite(self.beta_nu_dblprime)):
+            raise ParameterError("beta_nu_prime and beta_nu_dblprime must be finite")
 
     def beta1(self, omega: float) -> float:
         return self.beta_nu + omega * self.beta_nu_prime \

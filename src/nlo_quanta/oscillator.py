@@ -31,9 +31,9 @@ class DpoParams:
     gamma_b: float
 
     def __post_init__(self):
-        if self.kappa < 0 or self.E0 < 0:
+        if not (self.kappa >= 0 and self.E0 >= 0):
             raise ParameterError("kappa and E0 must be >= 0")
-        if self.gamma_a <= 0 or self.gamma_b <= 0:
+        if not (self.gamma_a > 0 and self.gamma_b > 0):
             raise ParameterError("gamma_a and gamma_b must be > 0")
 
     @property

@@ -41,7 +41,7 @@ class SpatialGrid:
     points: int
 
     def __post_init__(self):
-        if self.extent <= 0 or self.points < 8:
+        if not self.extent > 0 or self.points < 8:
             raise ParameterError("grid needs positive extent and >= 8 points")
 
     @property
@@ -69,9 +69,9 @@ class FiberParams:
     grid: SpatialGrid = field(default_factory=lambda: SpatialGrid(48.0, 1024))
 
     def __post_init__(self):
-        if self.omega1_dblprime <= 0:
+        if not self.omega1_dblprime > 0:
             raise ParameterError("omega1_dblprime must be > 0 (anomalous dispersion)")
-        if self.g3 > 0:
+        if not self.g3 <= 0:
             raise ParameterError("g3 must be <= 0 (attractive nonlinearity or free)")
 
     def sech_scale(self, n: int) -> float:

@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
 from nlo_quanta import closed_form as cf
@@ -115,8 +114,15 @@ class TestEvolvePure:
         for k, e in zip(krylov, dense):
             assert np.abs(k.data - e.data).max() < 1e-12
         assert np.abs(dense[2].data - psi0.data).max() < 1e-12
+        # every order comparison with NaN is false, so "t < 0" lets it
+        # through; the integrator is made to raise, so bad times that slip
+        # past the check fail fast instead of hanging
+        def integrating(*args, **kwargs):
+            raise AssertionError("times reached the integrator")
+
+        monkeypatch.setattr(evolve, "solve_ivp", integrating)
         damped = _damped_number()
-        for bad in ([0.5, 0.2], [-0.1, 0.3]):
+        for bad in ([0.5, 0.2], [-0.1, 0.3], [0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], []):
             with pytest.raises(ContractError):
                 evolve.evolve_lindblad(damped, fock.vacuum_state(damped.space), bad)
 
@@ -362,8 +368,8 @@ class TestSteadyState:
     def test_traceless_null_vector_detected(self, method):
         # sigma_x dephasing keeps sigma_x (x) |0><0| steady as well as the
         # trace-one state; that second null vector is traceless and lives in
-        # a sector without populations. "ilu" runs the ILU sector checks of
-        # "auto" alone, without the population solve and its own check
+        # a sector without populations. "ilu" runs the ladder walks of
+        # "auto" on the other sectors alone, without the population sector
         space = fock.make_space([2, 30])
         a = fock.annihilation(space, 0)
         model = models.ModelSpec(space, 0.3 * fock.number_operator(space, 1),
@@ -376,7 +382,7 @@ class TestSteadyState:
         d = space.total_dim
         with pytest.raises(AmbiguityError):
             for idx, A in _real_sectors(model)[1:]:
-                evolve._require_nonsingular(A, idx, d)
+                evolve._solve_sector(A, [evolve._check_system(len(idx))], idx, d)
 
     def test_second_population_sector_fails_check(self):
         # dephasing alone leaves every population rho_nn a sector of its
@@ -446,13 +452,14 @@ class TestSteadyState:
         calls = []
         real_solve_sector = evolve._solve_sector
 
-        def counting(A, rhs, rtol, idx, d):
+        def counting(A, systems, idx, d):
             calls.append(A.dtype)
-            return real_solve_sector(A, rhs, rtol, idx, d)
+            return real_solve_sector(A, systems, idx, d)
 
         monkeypatch.setattr(evolve, "_solve_sector", counting)
         evolve.steady_state(model)
-        # one population solve and one check per mirror pair, all real
+        # one ladder walk per mirror pair, the population sector's included,
+        # all real
         assert calls == [np.float64] * 6
 
     def test_failed_population_check_raises(self, monkeypatch):
@@ -473,28 +480,52 @@ class TestSteadyState:
         monkeypatch.setattr(evolve.spla, "gmres", gmres)
         with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]"):
             evolve.steady_state(model)
-        # under the solve's preconditioner, then once per rung of the ladder
-        assert len(checks) == 1 + len(evolve.ILU_LADDER)
+        # once per rung of the sector's one ladder walk
+        assert len(checks) == len(evolve.ILU_LADDER)
 
     def test_population_degenerate_solve_fails_check(self, monkeypatch):
         # a two-dimensional null space in the population sector, whose
         # trace-row solve is made to succeed: that system is singular, so
-        # the check on a random right-hand side still fails
+        # the check on a random right-hand side still fails. The trace-row
+        # system is picked out by its size and right-hand side, whichever
+        # thread reaches GMRES first
         model = _population_degenerate(3)
-        real_solve_sector = evolve._solve_sector
+        size = len(_real_sectors(model)[0][0])
+        real_gmres = evolve.spla.gmres
         solved = []
 
-        def solve_first(A, rhs, rtol, idx, d):
-            if solved:
-                return real_solve_sector(A, rhs, rtol, idx, d)
-            solved.append(np.linalg.lstsq(A.toarray(), rhs, rcond=None)[0])
-            return solved[0], scipy.sparse.linalg.aslinearoperator(
-                scipy.sparse.identity(len(rhs)))
+        def gmres(A, rhs, **kwargs):
+            if len(rhs) == size and np.count_nonzero(rhs) == 1 and rhs[0] == 1.0:
+                solved.append(np.linalg.lstsq(A.toarray(), rhs, rcond=None)[0])
+                return solved[-1], 0
+            return real_gmres(A, rhs, **kwargs)
 
-        monkeypatch.setattr(evolve, "_solve_sector", solve_first)
+        monkeypatch.setattr(evolve.spla, "gmres", gmres)
         with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]"):
             evolve.steady_state(model)
-        assert len(solved) == 1
+        # the check comes first, so the failing sector never reaches its solve
+        assert solved == []
+
+    @pytest.mark.parametrize("dims", [(8, 6), (12, 8)], ids=["dpo-8-6", "dpo-12-8"])
+    def test_ladder_falls_back_to_next_rung(self, dims, monkeypatch):
+        # with the first rung's factorization made to fail, every sector is
+        # solved on the second, and the steady state still matches the dense
+        # reference
+        model = _dpo(dims)
+        real_spilu = evolve.spla.spilu
+        served = []
+
+        def spilu(A, **kwargs):
+            rung = (kwargs["drop_tol"], kwargs["fill_factor"])
+            if rung == evolve.ILU_LADDER[0]:
+                raise RuntimeError("Factor is exactly singular")
+            served.append(rung)
+            return real_spilu(A, **kwargs)
+
+        monkeypatch.setattr(evolve.spla, "spilu", spilu)
+        rho = _steady(model, "auto")
+        assert served == [evolve.ILU_LADDER[1]] * len(_real_sectors(model))
+        assert np.abs(rho - _steady(model, "dense")).max() < 1e-12
 
     @pytest.mark.parametrize("name", list(ORDER_MODELS))
     def test_band_order_matches_minimum_degree(self, name, monkeypatch):

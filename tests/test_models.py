@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from nlo_quanta import fock, models
+from nlo_quanta import fock, media, models, oscillator, soliton
 from nlo_quanta.errors import ContractError, ParameterError, TruncationError
 
 
@@ -227,7 +227,21 @@ class TestModelSpecValidation:
         (lambda s: models.ModelSpec(s, fock.number_operator(s, 0),
                                     dissipators=((fock.annihilation(s, 0), np.nan),)),
          ParameterError),
-    ], ids=["pure-nan", "density-nan", "hamiltonian-nan", "rate-nan"])
+        (lambda s: oscillator.DpoParams(np.nan, 1.0, 1.0, 1.0), ParameterError),
+        (lambda s: oscillator.DpoParams(0.2, 1.0, np.nan, 1.0), ParameterError),
+        (lambda s: media.TwoLevelParams(np.nan, 1.0), ParameterError),
+        (lambda s: media.TwoLevelParams(1.0, np.nan), ParameterError),
+        (lambda s: media.DispersionCoeffs(np.nan), ParameterError),
+        (lambda s: media.DispersionCoeffs(1.0, np.nan), ParameterError),
+        (lambda s: media.DispersionCoeffs(1.0, 0.0, np.nan), ParameterError),
+        (lambda s: soliton.FiberParams(np.nan, -1.0), ParameterError),
+        (lambda s: soliton.FiberParams(1.0, np.nan), ParameterError),
+        (lambda s: soliton.SpatialGrid(np.nan, 64), ParameterError),
+        (lambda s: fock.thermal_state(s, [np.nan]), ParameterError),
+    ], ids=["pure-nan", "density-nan", "hamiltonian-nan", "rate-nan", "dpo-kappa-nan",
+            "dpo-gamma_a-nan", "two_level-delta-nan", "two_level-gE-nan",
+            "dispersion-beta_nu-nan", "dispersion-prime-nan", "dispersion-dblprime-nan",
+            "fiber-dispersion-nan", "fiber-g3-nan", "grid-extent-nan", "thermal-nbar-nan"])
     def test_non_finite_input_rejected(self, build, error):
         # each check is written so that a NaN fails it
         with pytest.raises(error):
