@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
 from nlo_quanta import closed_form as cf
@@ -125,6 +126,16 @@ class TestEvolvePure:
         for bad in ([0.5, 0.2], [-0.1, 0.3], [0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], []):
             with pytest.raises(ContractError):
                 evolve.evolve_lindblad(damped, fock.vacuum_state(damped.space), bad)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dims", [(16, 16), (40, 20)], ids=["dense", "krylov"])
+    def test_non_finite_times_rejected(self, dims):
+        space = fock.make_space(dims)
+        model = models.h_two_mode_chi2(space, 1.0, 0.3)
+        psi0 = fock.coherent_state(space, [0.0, 1.2])
+        for bad in ([np.nan], [np.inf], [0.0, np.nan]):
+            with pytest.raises(ContractError):
+                evolve.evolve_pure(model, psi0, bad)
 
     def test_rejects_dissipative_model(self):
         space = fock.make_space([5])
@@ -320,6 +331,47 @@ def _population_degenerate(dim):
                                          (fock.number_operator(space, 0), 0.4)))
 
 
+def _traceless_null_vector():
+    """sigma_x dephasing keeps sigma_x (x) |0><0| steady as well as the
+    trace-one state; that second null vector is traceless and lives in a
+    sector without populations."""
+    space = fock.make_space([2, 30])
+    a = fock.annihilation(space, 0)
+    return models.ModelSpec(space, 0.3 * fock.number_operator(space, 1),
+                            dissipators=((a + a.dag(), 0.5), (fock.annihilation(space, 1), 0.7)))
+
+
+def _sector_systems(model, monkeypatch):
+    """(A, rhs, rtol) of every system the ladder walks of ``steady_state``
+    solve, recorded as the walks start; a failing walk's error is dropped."""
+    real_solve_sector = evolve._solve_sector
+    systems = []
+
+    def recording(A, sector_systems, idx, d):
+        systems.extend((A, rhs, rtol) for rhs, rtol in sector_systems)
+        return real_solve_sector(A, sector_systems, idx, d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve, "_solve_sector", recording)
+        try:
+            evolve.steady_state(model)
+        except AmbiguityError:
+            pass
+    return systems
+
+
+def _rung0_ilu(A):
+    drop_tol, fill = evolve.ILU_LADDER[0]
+    return scipy.sparse.linalg.spilu(A, drop_tol=drop_tol, fill_factor=fill, permc_spec="NATURAL")
+
+
+def _scipy_gmres(A, solve, rhs, rtol):
+    """scipy's GMRES, the reference for ``evolve._gmres``, at the budget
+    the steady-state route uses."""
+    M = scipy.sparse.linalg.LinearOperator(A.shape, solve, dtype=A.dtype)
+    return scipy.sparse.linalg.gmres(A, rhs, M=M, rtol=rtol, atol=0.0, restart=100, maxiter=400)
+
+
 class TestSteadyState:
     def test_pure_damping_gives_vacuum(self):
         rho = evolve.steady_state(_damped_number())
@@ -366,20 +418,14 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("method", STEADY_ROUTES + ["ilu"])
     def test_traceless_null_vector_detected(self, method):
-        # sigma_x dephasing keeps sigma_x (x) |0><0| steady as well as the
-        # trace-one state; that second null vector is traceless and lives in
-        # a sector without populations. "ilu" runs the ladder walks of
-        # "auto" on the other sectors alone, without the population sector
-        space = fock.make_space([2, 30])
-        a = fock.annihilation(space, 0)
-        model = models.ModelSpec(space, 0.3 * fock.number_operator(space, 1),
-                                 dissipators=((a + a.dag(), 0.5),
-                                              (fock.annihilation(space, 1), 0.7)))
+        # "ilu" runs the ladder walks of "auto" on the other sectors alone,
+        # without the population sector
+        model = _traceless_null_vector()
         if method != "ilu":
             with pytest.raises(AmbiguityError):
                 _steady(model, method)
             return
-        d = space.total_dim
+        d = model.space.total_dim
         with pytest.raises(AmbiguityError):
             for idx, A in _real_sectors(model)[1:]:
                 evolve._solve_sector(A, [evolve._check_system(len(idx))], idx, d)
@@ -468,16 +514,16 @@ class TestSteadyState:
         # random right-hand side
         model = _dpo((8, 6))
         check = np.random.default_rng(0).standard_normal(len(_real_sectors(model)[0][0]))
-        real_gmres = evolve.spla.gmres
+        real_gmres = evolve._gmres
         checks = []
 
-        def gmres(A, rhs, **kwargs):
+        def gmres(A, solve, rhs, rtol):
             if np.array_equal(rhs, check):
                 checks.append(A.shape)
-                return np.zeros_like(rhs), 1
-            return real_gmres(A, rhs, **kwargs)
+                return np.zeros_like(rhs), 0, 1.0
+            return real_gmres(A, solve, rhs, rtol)
 
-        monkeypatch.setattr(evolve.spla, "gmres", gmres)
+        monkeypatch.setattr(evolve, "_gmres", gmres)
         with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]"):
             evolve.steady_state(model)
         # once per rung of the sector's one ladder walk
@@ -486,25 +532,38 @@ class TestSteadyState:
     def test_population_degenerate_solve_fails_check(self, monkeypatch):
         # a two-dimensional null space in the population sector, whose
         # trace-row solve is made to succeed: that system is singular, so
-        # the check on a random right-hand side still fails. The trace-row
-        # system is picked out by its size and right-hand side, whichever
-        # thread reaches GMRES first
+        # the check on a random right-hand side still fails, in GMRES. SuperLU
+        # finds the system itself exactly singular on every rung, so each
+        # rung factors it shifted by 1e-8 I. The trace-row system is picked
+        # out by its size and right-hand side, whichever thread reaches
+        # GMRES first
         model = _population_degenerate(3)
         size = len(_real_sectors(model)[0][0])
-        real_gmres = evolve.spla.gmres
-        solved = []
+        check, _ = evolve._check_system(size)
+        real_spilu, real_gmres = evolve.spla.spilu, evolve._gmres
+        solved, checks = [], []
 
-        def gmres(A, rhs, **kwargs):
+        def shifted(A, **kwargs):
+            return real_spilu((A + 1e-8 * scipy.sparse.identity(A.shape[0])).tocsc(), **kwargs)
+
+        def gmres(A, solve, rhs, rtol):
             if len(rhs) == size and np.count_nonzero(rhs) == 1 and rhs[0] == 1.0:
                 solved.append(np.linalg.lstsq(A.toarray(), rhs, rcond=None)[0])
-                return solved[-1], 0
-            return real_gmres(A, rhs, **kwargs)
+                return solved[-1], 1, 0.0
+            if np.array_equal(rhs, check):
+                checks.append(A.shape)
+            return real_gmres(A, solve, rhs, rtol)
 
-        monkeypatch.setattr(evolve.spla, "gmres", gmres)
-        with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]"):
+        monkeypatch.setattr(evolve.spla, "spilu", shifted)
+        monkeypatch.setattr(evolve, "_gmres", gmres)
+        with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]") as info:
             evolve.steady_state(model)
-        # the check comes first, so the failing sector never reaches its solve
-        assert solved == []
+        # the failure says how far the last rung's GMRES got
+        assert ("GMRES reached residual " in str(info.value)
+                and f"iterations at drop_tol {evolve.ILU_LADDER[-1][0]})" in str(info.value))
+        # the check comes first and fails on every rung, so the failing
+        # sector never reaches its solve
+        assert checks == [(size, size)] * len(evolve.ILU_LADDER) and solved == []
 
     @pytest.mark.parametrize("dims", [(8, 6), (12, 8)], ids=["dpo-8-6", "dpo-12-8"])
     def test_ladder_falls_back_to_next_rung(self, dims, monkeypatch):
@@ -542,22 +601,65 @@ class TestSteadyState:
         reference = evolve.steady_state(model).data
         assert np.abs(shipped - reference).max() < 1e-12
 
+    @pytest.mark.parametrize("dims", [(6, 4), (10, 6), (13, 15)],
+                             ids=["dpo-6-4", "dpo-10-6", "dpo-13-15"])
+    def test_gmres_matches_scipy(self, dims, monkeypatch):
+        # the in-package GMRES against scipy's under the same first-rung ILU,
+        # on every check system and the trace-row system of the shipped route
+        for A, rhs, rtol in _sector_systems(_dpo(dims), monkeypatch):
+            ilu = _rung0_ilu(A)
+            x, _, residual = evolve._gmres(A, ilu.solve, rhs, rtol)
+            reference, info = _scipy_gmres(A, ilu.solve, rhs, rtol)
+            assert info == 0 and residual <= rtol
+            assert np.linalg.norm(rhs - A @ x) <= rtol * np.linalg.norm(rhs)
+            # both residuals are within rtol ||b||, and A^-1 amplifies their
+            # difference by at most ~4 on these systems
+            assert np.linalg.norm(x - reference) <= 100 * rtol * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("name", ["population-degenerate-3", "traceless-null-vector"])
+    def test_gmres_fails_on_singular_check_system_as_scipy_does(self, name, monkeypatch):
+        # the check's random right-hand side is outside the range of a
+        # singular system. SuperLU finds each such system exactly singular on
+        # every rung, so both solvers run under the first rung's ILU of
+        # A + 1e-8 I
+        model = {"population-degenerate-3": lambda: _population_degenerate(3),
+                 "traceless-null-vector": _traceless_null_vector}[name]()
+        singular = [(A, rhs, rtol) for A, rhs, rtol in _sector_systems(model, monkeypatch)
+                    if np.linalg.matrix_rank(A.toarray()) < A.shape[0]
+                    and np.array_equal(rhs, evolve._check_system(len(rhs))[0])]
+        assert singular
+        for A, rhs, rtol in singular:
+            ilu = _rung0_ilu((A + 1e-8 * scipy.sparse.identity(A.shape[0])).tocsc())
+            _, _, residual = evolve._gmres(A, ilu.solve, rhs, rtol)
+            _, info = _scipy_gmres(A, ilu.solve, rhs, rtol)
+            assert residual > rtol and info != 0
+
+    def test_gmres_lucky_breakdown_is_exact(self):
+        # three distinct eigenvalues: the Krylov space of an unpreconditioned
+        # diagonal system is invariant after three steps, and holds A^-1 b
+        diagonal = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
+        rhs = np.arange(1.0, 7.0)
+        x, iters, residual = evolve._gmres(scipy.sparse.diags(diagonal).tocsc(), np.copy,
+                                           rhs, 1e-12)
+        assert iters == 3 and residual <= 1e-12
+        np.testing.assert_allclose(x, rhs / diagonal, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("name", list(ROUTE_MODELS))
     def test_route_is_pinned(self, name, monkeypatch):
         model = ROUTE_MODELS[name]()
-        real_spilu, real_gmres = evolve.spla.spilu, evolve.spla.gmres
+        real_spilu, real_gmres = evolve.spla.spilu, evolve._gmres
         rungs, solves = [], []
 
         def spilu(A, **kwargs):
             rungs.append((kwargs["drop_tol"], kwargs["fill_factor"]))
             return real_spilu(A, **kwargs)
 
-        def gmres(A, rhs, **kwargs):
+        def gmres(A, solve, rhs, rtol):
             solves.append(A.shape)
-            return real_gmres(A, rhs, **kwargs)
+            return real_gmres(A, solve, rhs, rtol)
 
         monkeypatch.setattr(evolve.spla, "spilu", spilu)
-        monkeypatch.setattr(evolve.spla, "gmres", gmres)
+        monkeypatch.setattr(evolve, "_gmres", gmres)
         evolve.steady_state(model)
         # the population sector, the Im half of its set and both halves of
         # the odd-parity set each factor on the first rung; GMRES runs the
@@ -573,21 +675,21 @@ class TestSteadyState:
         size = len(_real_sectors(model)[0][0])
         assert size < len(evolve._closed_sectors(evolve.liouvillian(model),
                                                  model.space.total_dim)[0])
-        real_spilu, real_gmres = evolve.spla.spilu, evolve.spla.gmres
+        real_spilu, real_gmres = evolve.spla.spilu, evolve._gmres
         orders, systems = [], []
 
         def spilu(A, **kwargs):
             orders.append(kwargs["permc_spec"])
             return real_spilu(A, **kwargs)
 
-        def gmres(A, rhs, **kwargs):
+        def gmres(A, solve, rhs, rtol):
             # the trace row is rho_00's, the first
             if len(rhs) == size and np.count_nonzero(rhs) == 1 and rhs[0] == 1.0:
                 systems.append(A)
-            return real_gmres(A, rhs, **kwargs)
+            return real_gmres(A, solve, rhs, rtol)
 
         monkeypatch.setattr(evolve.spla, "spilu", spilu)
-        monkeypatch.setattr(evolve.spla, "gmres", gmres)
+        monkeypatch.setattr(evolve, "_gmres", gmres)
         evolve.steady_state(model)
         assert len(systems) == 1 and len(set(orders)) == 1
         for drop_tol, fill in evolve.ILU_LADDER:
@@ -639,16 +741,16 @@ class TestSteadyState:
         size = len(real[0][0])
         assert all(len(idx) != size for idx, _ in real[1:])
         n, m = divmod(int(real[1][0][0]), d)
-        real_gmres = evolve.spla.gmres
+        real_gmres = evolve._gmres
         delays = np.random.default_rng(1)
 
-        def failing(A, rhs, **kwargs):
+        def failing(A, solve, rhs, rtol):
             if len(rhs) == size:  # the population solve and its check
-                return real_gmres(A, rhs, **kwargs)
+                return real_gmres(A, solve, rhs, rtol)
             time.sleep(delays.uniform(0.0, 0.02))
-            return np.zeros_like(rhs), 1
+            return np.zeros_like(rhs), 0, 1.0
 
-        monkeypatch.setattr(evolve.spla, "gmres", failing)
+        monkeypatch.setattr(evolve, "_gmres", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         for _ in range(5):
             with pytest.raises(AmbiguityError, match=rf"from rho\[{n}, {m}\]"):
