@@ -23,7 +23,8 @@ Numerical routes
   shown nonsingular by one check: GMRES on a fixed random right-hand side
   (``_check_system``) must converge under an incomplete LU. GMRES is the
   package's own ``_gmres``, right-preconditioned GMRES(100) for at most 400
-  cycles, and a system converges iff ||b - A x|| <= rtol ||b||. One walk down
+  cycles and none after one that leaves the true residual no lower, and a
+  system converges iff ||b - A x|| <= rtol ||b||. One walk down
   ``ILU_LADDER`` (``_solve_sector``) factors the system once per rung and
   runs the check, then, on the population sector, the trace-constrained
   solve; the first rung on which both converge serves. A sector that no
@@ -34,10 +35,10 @@ Numerical routes
   population sector while max(1, usable CPUs - 1) workers walk the others
   (``_run_sectors``). Every ILU factors in the sector's own row-major
   order of rho, which is already banded (``NATURAL``); minimum degree only
-  adds fill there. The trace row stays rho_00's, the first: a trace row
-  put last leaves some ILU rungs exactly singular. This is the one route;
-  ``_steady_dense``, a dense eig per real sector, is its private slow
-  reference.
+  adds fill there. The trace row is rho_00's, the first; on DPO (6, 4) to
+  (13, 15) rho_{d-1,d-1}'s, the last, serves as well on every rung. This is
+  the one route; ``_steady_dense``, a dense eig per real sector, is its
+  private slow reference.
 
 No scipy module is loaded with this module. ``sp`` and ``spla`` are
 ``LazyModule`` stand-ins that import ``scipy.sparse`` and
@@ -231,10 +232,10 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
 
 
 #: (drop_tol, fill_factor) rungs tried in order for the sector ILUs, which
-#: factor in band (NATURAL) order. With the trace row on rho_00, every rung
-#: factors the DPO population systems from (6, 4) to (13, 15); on
-#: rho_{d-1,d-1}'s row the second rung is exactly singular.
-ILU_LADDER = ((1e-1, 2), (3e-2, 2), (1e-3, 6))
+#: factor in band (NATURAL) order: a cheap rung, then one strong fallback.
+#: The first serves every sector of the benchmark workloads, criterion 7 and
+#: DPO (3, 3) to (16, 12); 125 of 256 random models with 30%-fill H need the second.
+ILU_LADDER = ((1e-1, 2), (1e-3, 6))
 
 
 def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float) -> tuple:
@@ -251,7 +252,11 @@ def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float) -> tuple:
     reaches rtol ||b|| or the basis breaks down (the Krylov space is
     invariant); the true residual then decides whether to restart. A
     breakdown whose true residual still fails ends the solve: A is singular
-    on that space.
+    on that space. So does a cycle that leaves the true residual no lower
+    than it was at the cycle's start: a cycle minimizes it over x plus the
+    Krylov space of r, so in exact arithmetic it cannot rise, and a cycle
+    that does not lower it hands the same r, and so the same space, to the
+    next, which can lower it no further.
     """
     n = len(b)
     m = min(100, n)
@@ -266,6 +271,7 @@ def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float) -> tuple:
     r, rnorm = b, bnorm
     iters = 0
     for _ in range(400):
+        start = rnorm
         V[0] = r / rnorm
         g, rotations, columns = [rnorm], [], []
         breakdown = False
@@ -304,7 +310,7 @@ def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float) -> tuple:
         x += solve(V[:k].T @ np.linalg.solve(R, g[:k]))
         r = b - A @ x
         rnorm = float(np.linalg.norm(r))
-        if rnorm / bnorm <= rtol or breakdown:
+        if rnorm / bnorm <= rtol or breakdown or not rnorm < start:  # a NaN stops too
             break
     return x, iters, rnorm / bnorm
 

@@ -565,12 +565,15 @@ class TestSteadyState:
         # sector never reaches its solve
         assert checks == [(size, size)] * len(evolve.ILU_LADDER) and solved == []
 
-    @pytest.mark.parametrize("dims", [(8, 6), (12, 8)], ids=["dpo-8-6", "dpo-12-8"])
-    def test_ladder_falls_back_to_next_rung(self, dims, monkeypatch):
+    @pytest.mark.parametrize("dims, reference", [((8, 6), "dense"), ((12, 8), "auto")],
+                             ids=["dpo-8-6", "dpo-12-8"])
+    def test_ladder_falls_back_to_next_rung(self, dims, reference, monkeypatch):
         # with the first rung's factorization made to fail, every sector is
-        # solved on the second, and the steady state still matches the dense
-        # reference
+        # solved on the second, and the steady state still matches the
+        # reference: the dense one at (8, 6), and at (12, 8), where a dense
+        # eig of each sector takes ~20 s, the unpatched route's
         model = _dpo(dims)
+        expected = _steady(model, reference)
         real_spilu = evolve.spla.spilu
         served = []
 
@@ -584,7 +587,35 @@ class TestSteadyState:
         monkeypatch.setattr(evolve.spla, "spilu", spilu)
         rho = _steady(model, "auto")
         assert served == [evolve.ILU_LADDER[1]] * len(_real_sectors(model))
-        assert np.abs(rho - _steady(model, "dense")).max() < 1e-12
+        assert np.abs(rho - expected).max() < 1e-12
+
+    def test_ladder_falls_back_on_exactly_singular_first_rung(self):
+        # a strong random sparse H, weakly damped, whose nonsingular
+        # trace-row system leaves the first rung's incomplete LU exactly
+        # singular, unforced: the walk goes on to the last rung, which
+        # serves it
+        space = fock.make_space([6])
+        rng = np.random.default_rng(1)
+        M = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) \
+            * (rng.random((6, 6)) < 0.05)
+        model = models.ModelSpec(space, fock.FieldOperator(space, 20 * (M + M.conj().T) / 2),
+                                 dissipators=((fock.annihilation(space, 0), 0.05),))
+        d = space.total_dim
+        (idx, Lr), = _real_sectors(model)
+        A = scipy.sparse.vstack([scipy.sparse.csr_matrix((idx // d == idx % d).astype(float)),
+                                 Lr[1:]], format="csc")
+        assert np.linalg.matrix_rank(A.toarray()) == len(idx)
+        first, last = ({"drop_tol": drop_tol, "fill_factor": fill, "permc_spec": "NATURAL"}
+                       for drop_tol, fill in (evolve.ILU_LADDER[0], evolve.ILU_LADDER[-1]))
+        with pytest.raises(RuntimeError, match="singular"):
+            scipy.sparse.linalg.spilu(A, **first)
+        ilu = scipy.sparse.linalg.spilu(A, **last)
+        rhs = np.zeros(len(idx))
+        rhs[0] = 1.0
+        systems = [evolve._check_system(len(idx)), (rhs, 1e-13)]
+        for x, (b, rtol) in zip(evolve._solve_sector(A, systems, idx, d), systems):
+            assert np.array_equal(x, evolve._gmres(A, ilu.solve, b, rtol)[0])
+        assert np.abs(_steady(model, "auto") - _steady(model, "dense")).max() < 1e-11
 
     @pytest.mark.parametrize("name", list(ORDER_MODELS))
     def test_band_order_matches_minimum_degree(self, name, monkeypatch):
@@ -621,7 +652,10 @@ class TestSteadyState:
         # the check's random right-hand side is outside the range of a
         # singular system. SuperLU finds each such system exactly singular on
         # every rung, so both solvers run under the first rung's ILU of
-        # A + 1e-8 I
+        # A + 1e-8 I. On the traceless model's system each cycle's estimate
+        # meets rtol while the true residual does not fall, and the
+        # in-package solve ends after the first such cycle, not after the
+        # 400-cycle budget
         model = {"population-degenerate-3": lambda: _population_degenerate(3),
                  "traceless-null-vector": _traceless_null_vector}[name]()
         singular = [(A, rhs, rtol) for A, rhs, rtol in _sector_systems(model, monkeypatch)
@@ -630,9 +664,9 @@ class TestSteadyState:
         assert singular
         for A, rhs, rtol in singular:
             ilu = _rung0_ilu((A + 1e-8 * scipy.sparse.identity(A.shape[0])).tocsc())
-            _, _, residual = evolve._gmres(A, ilu.solve, rhs, rtol)
+            _, iters, residual = evolve._gmres(A, ilu.solve, rhs, rtol)
             _, info = _scipy_gmres(A, ilu.solve, rhs, rtol)
-            assert residual > rtol and info != 0
+            assert residual > rtol and info != 0 and iters <= 200
 
     def test_gmres_lucky_breakdown_is_exact(self):
         # three distinct eigenvalues: the Krylov space of an unpreconditioned
