@@ -4,16 +4,16 @@ Numerical routes
 ----------------
 * Unitary evolution: exact eigendecomposition below ``DENSE_EVOLVE_DIM``,
   Krylov ``expm_multiply`` above it.
-* Master equation: L is block diagonal over the sectors of its pattern
-  joined with rho -> rho^T (``_closed_sectors``), e.g. the n_a - m_a parity
-  classes of the parametric oscillator, or a coherence order and its
-  mirror. L preserves hermiticity, so on each such set it is real in the
-  coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn (``_real_block``).
-  Each set is split once more by the pattern of that real block
-  (``_real_sectors``): when H is i times a real matrix, as for the
-  parametric oscillator, L also commutes with rho -> rho* and a set falls
-  apart into its Re and Im halves. Every route works on these real sectors
-  in float64, and maps back to an exactly hermitian rho. Transients run
+* Master equation: ``_real_sectors(model)`` is the one split of L. L is
+  block diagonal over the sectors of its pattern joined with rho -> rho^T,
+  e.g. the n_a - m_a parity classes of the parametric oscillator, or a
+  coherence order and its mirror. L preserves hermiticity, so on each such
+  set it is real in the coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn
+  (``_real_block``). Each set is split once more by the pattern of that
+  real block: when H is i times a real matrix, as for the parametric
+  oscillator, L also commutes with rho -> rho* and a set falls apart into
+  its Re and Im halves. Every route works on these real sectors in
+  float64, and maps back to an exactly hermitian rho. Transients run
   adaptive DOP853 on the real sectors rho0 occupies. Trace renormalization
   is deliberately off; trace drift is an error signal.
 * Steady states: one ladder walk per sector, check first. The real sector
@@ -213,13 +213,11 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
     if not (times.size and np.isfinite(times).all() and times[0] >= 0.0
             and np.all(np.diff(times) >= 0.0)):
         raise ContractError("Lindblad evolution needs nonempty, finite, nondecreasing times >= 0")
-    d = model.space.total_dim
-    L = liouvillian(model)
     if np.all(times == 0.0):
         return EvolutionResult(model, times, [rho0 for _ in times])
+    d = model.space.total_dim
     x0 = _real_coordinates(rho0.data)
-    blocks = [block for block in _closed_sectors(L, d) if np.any(x0[block])]
-    occupied = [(idx, A) for idx, A in _real_sectors(L, blocks, d) if np.any(x0[idx])]
+    occupied = [(idx, A) for idx, A in _real_sectors(model)[1] if np.any(x0[idx])]
     idx = np.concatenate([idx for idx, _ in occupied])
     A = sp.block_diag([A for _, A in occupied], format="csc")
     sol = solve_ivp(lambda t, y: A @ y, (0.0, times.max()), x0[idx],
@@ -235,7 +233,10 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
 #: factor in band (NATURAL) order: a cheap rung, then one strong fallback.
 #: The first serves every sector of the benchmark workloads, criterion 7 and
 #: DPO (3, 3) to (16, 12); 125 of 256 random models with 30%-fill H need the second.
-ILU_LADDER = ((1e-1, 2), (1e-3, 6))
+#: The fallback has no fill factor and drops by tolerance alone (SuperLU's
+#: ``basic`` rule): the default ``area`` rule, which also drops to keep fill
+#: near the fill factor, left zero pivots in nonsingular sectors.
+ILU_LADDER = ((1e-1, 2), (1e-3, None))
 
 
 def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float) -> tuple:
@@ -332,7 +333,7 @@ def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int) -> l
     for drop_tol, fill in ILU_LADDER:
         try:
             ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill,
-                             permc_spec="NATURAL")
+                             drop_rule=None if fill else "basic", permc_spec="NATURAL")
         except RuntimeError:  # SuperLU found a zero pivot
             failure = f"exactly singular incomplete LU factor at drop_tol {drop_tol}"
             continue
@@ -358,14 +359,6 @@ def _check_system(n: int) -> tuple:
     singular system only for a consistent right-hand side, which a random
     one is not."""
     return np.random.default_rng(0).standard_normal(n), 1e-8
-
-
-def _closed_sectors(L: sp.csr_matrix, d: int) -> list[np.ndarray]:
-    """``fock.sectors`` of |L| + T, T the map rho -> rho^T: L is block
-    diagonal over these sets, and a mirror pair of sectors is one set."""
-    k = np.arange(d * d)
-    T = sp.csr_matrix((np.ones(d * d), (k, (k % d) * d + k // d)), shape=(d * d, d * d))
-    return sectors(abs(L) + T)
 
 
 def _hermitian_basis(block: np.ndarray, d: int):
@@ -409,21 +402,28 @@ def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int) -> sp.csc_matrix:
     return Lr
 
 
-def _real_sectors(L: sp.csr_matrix, blocks: list, d: int) -> list[tuple]:
-    """The real sectors of L on the transpose-closed sets ``blocks``: each
-    set's ``_real_block``, split again by ``fock.sectors`` of its own
-    pattern (the exact zeros are already dropped). When H is i times a real
-    matrix, L also commutes with rho -> rho*, and a set falls apart into
-    its Re and Im halves; otherwise it stays whole.
+def _real_sectors(model: ModelSpec) -> tuple:
+    """L of ``model`` and its real sectors, the one split of L that every
+    route uses. ``fock.sectors`` of |L| + T, T the map rho -> rho^T, gives
+    the sets L is block diagonal over, a mirror pair of L's sectors being
+    one set. Each set's ``_real_block`` is split again by ``fock.sectors``
+    of its own pattern (the exact zeros are already dropped): when H is i
+    times a real matrix, L also commutes with rho -> rho*, and a set falls
+    apart into its Re and Im halves; otherwise it stays whole.
 
-    Returns (flat positions, real block in CSC) pairs ordered by first
-    position, so the sector holding rho_00 comes first.
+    Returns (L, sectors), the sectors as (flat positions, real block in CSC)
+    pairs ordered by first position, so the sector holding rho_00 comes
+    first.
     """
+    d = model.space.total_dim
+    L = liouvillian(model)
+    k = np.arange(d * d)
+    T = sp.csr_matrix((np.ones(d * d), (k, (k % d) * d + k // d)), shape=(d * d, d * d))
     pairs = []
-    for block in blocks:
+    for block in sectors(abs(L) + T):
         Lr = _real_block(L, block, d)
         pairs += [(block[sub], Lr[sub][:, sub]) for sub in sectors(Lr)]
-    return sorted(pairs, key=lambda pair: pair[0][0])
+    return L, sorted(pairs, key=lambda pair: pair[0][0])
 
 
 def _real_coordinates(rho: np.ndarray) -> np.ndarray:
@@ -512,13 +512,14 @@ def _run_sectors(jobs: list):
     return result
 
 
-def _steady_dense(real: list, d: int) -> np.ndarray:
+def _steady_dense(model: ModelSpec) -> np.ndarray:
     """Slow reference for ``steady_state``: dense ``eig`` of every real
-    sector. Returns the null vector of the population sector, the first, as
-    a density of unnormalized trace; null eigenvalues are counted over all
-    sectors, and more than one raises AmbiguityError."""
+    sector of ``_real_sectors``. Returns the null vector of the population
+    sector, the first, as a density of unnormalized trace; null eigenvalues
+    are counted over all sectors, and more than one raises AmbiguityError."""
+    d = model.space.total_dim
     null_count = 0
-    for k, (idx, A) in enumerate(real):
+    for k, (idx, A) in enumerate(_real_sectors(model)[1]):
         evals, evecs = np.linalg.eig(A.toarray())
         null_count += int(np.sum(np.abs(evals) < 1e-9))
         if k == 0:
@@ -537,20 +538,16 @@ def steady_state(model: ModelSpec) -> QuantumState:
     satisfies ||L(rho)||_F < 1e-10 (Frobenius, trace-normalized); a
     degenerate null space raises AmbiguityError instead of averaging.
 
-    L is split into its real sectors (``_real_sectors``): the
-    transpose-closed sets of ``_closed_sectors``, each written in the real
-    coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn and split again by
-    its own pattern. L is block diagonal over them. They are solved and
-    shown nonsingular in float64 by one ladder walk per sector, check first,
-    as the module docstring sets out; when several sectors fail, the one
-    with the lowest first position is named.
+    L is block diagonal over its real sectors (``_real_sectors``). They
+    are solved and shown nonsingular in float64 by one ladder walk per
+    sector, check first, as the module docstring sets out; when several
+    sectors fail, the one with the lowest first position is named.
     """
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
     d = model.space.total_dim
-    L = liouvillian(model)
     # ordered by first position, so real[0] holds rho_00
-    real = _real_sectors(L, _closed_sectors(L, d), d)
+    L, real = _real_sectors(model)
     rho = _run_sectors(
         [functools.partial(_steady_ilu, real[0][1], real[0][0], d)]
         + [functools.partial(_solve_sector, A, [_check_system(len(idx))], idx, d)

@@ -217,6 +217,20 @@ class TestEvolveLindblad:
             assert np.abs(st.data - ref).max() <= 1e-8
             assert np.array_equal(st.data, st.data.conj().T)
 
+    def test_all_zero_times_return_start_density(self, monkeypatch):
+        # scipy's solve_ivp cannot integrate over (0, 0), so every sample is
+        # rho0's density, taken before anything is integrated
+        def integrating(*args, **kwargs):
+            raise AssertionError("zero times reached the integrator")
+
+        monkeypatch.setattr(evolve, "solve_ivp", integrating)
+        model, psi0 = _damped_coherent()
+        for times in ([0.0], [0.0, 0.0]):
+            res = evolve.evolve_lindblad(model, psi0, times)
+            assert len(res.states) == len(times)
+            for st in res.states:
+                assert not st.is_pure and np.array_equal(st.data, psi0.density())
+
     def test_fock_start_integrates_diagonal_set_only(self, monkeypatch):
         model = _damped_number()
         starts = []
@@ -299,21 +313,13 @@ ROUTE_MODELS = {
 ORDER_MODELS = {**STEADY_MODELS, "dpo-10-6": ROUTE_MODELS["dpo-10-6"]}
 
 
-def _real_sectors(model):
-    """(flat positions, real block) of every real sector of the model's L,
-    the population sector first."""
-    L = evolve.liouvillian(model)
-    d = model.space.total_dim
-    return evolve._real_sectors(L, evolve._closed_sectors(L, d), d)
-
-
 def _steady(model, route):
     """The steady density by ``route``: "auto" is ``steady_state``, and
     "dense" the private slow reference ``evolve._steady_dense`` with its
     null vector normalized to trace 1."""
     if route == "auto":
         return evolve.steady_state(model).data
-    rho = evolve._steady_dense(_real_sectors(model), model.space.total_dim)
+    rho = evolve._steady_dense(model)
     return rho / np.trace(rho).real
 
 
@@ -360,9 +366,42 @@ def _sector_systems(model, monkeypatch):
     return systems
 
 
-def _rung0_ilu(A):
-    drop_tol, fill = evolve.ILU_LADDER[0]
-    return scipy.sparse.linalg.spilu(A, drop_tol=drop_tol, fill_factor=fill, permc_spec="NATURAL")
+def _rung_ilu(A, rung):
+    """The incomplete LU of A at ``rung`` of ``evolve.ILU_LADDER``, as
+    ``evolve._solve_sector`` factors it."""
+    drop_tol, fill = rung
+    return scipy.sparse.linalg.spilu(A, drop_tol=drop_tol, fill_factor=fill,
+                                     drop_rule=None if fill else "basic", permc_spec="NATURAL")
+
+
+def _recording_spilu(monkeypatch, failing=()):
+    """Record the (drop_tol, fill_factor) rung of every ``spilu`` call of
+    ``evolve``; a rung in ``failing`` raises as an exactly singular factor."""
+    real_spilu = evolve.spla.spilu
+    rungs = []
+
+    def spilu(A, **kwargs):
+        rung = (kwargs["drop_tol"], kwargs["fill_factor"])
+        if rung in failing:
+            raise RuntimeError("Factor is exactly singular")
+        rungs.append(rung)
+        return real_spilu(A, **kwargs)
+
+    monkeypatch.setattr(evolve.spla, "spilu", spilu)
+    return rungs
+
+
+def _random_damped(dims, seed):
+    """A strong random sparse H, 20 (M + M^H) / 2 with M complex Gaussian at
+    5% fill, and every mode damped at 0.05."""
+    space = fock.make_space(dims)
+    d = space.total_dim
+    rng = np.random.default_rng(seed)
+    M = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) \
+        * (rng.random((d, d)) < 0.05)
+    return models.ModelSpec(space, fock.FieldOperator(space, 20 * (M + M.conj().T) / 2),
+                            dissipators=tuple((fock.annihilation(space, m), 0.05)
+                                              for m in range(len(dims))))
 
 
 def _scipy_gmres(A, solve, rhs, rtol):
@@ -427,7 +466,7 @@ class TestSteadyState:
             return
         d = model.space.total_dim
         with pytest.raises(AmbiguityError):
-            for idx, A in _real_sectors(model)[1:]:
+            for idx, A in evolve._real_sectors(model)[1][1:]:
                 evolve._solve_sector(A, [evolve._check_system(len(idx))], idx, d)
 
     def test_second_population_sector_fails_check(self):
@@ -484,7 +523,7 @@ class TestSteadyState:
         # it comes: the real basis makes it hermitian
         model = _dpo((8, 6))
         if method == "ilu":
-            population, A = _real_sectors(model)[0]
+            population, A = evolve._real_sectors(model)[1][0]
             rho = evolve._steady_ilu(A, population, model.space.total_dim)
         else:
             rho = evolve.steady_state(model).data
@@ -513,7 +552,7 @@ class TestSteadyState:
         # every other sector passes; here GMRES fails on the check's fixed
         # random right-hand side
         model = _dpo((8, 6))
-        check = np.random.default_rng(0).standard_normal(len(_real_sectors(model)[0][0]))
+        check = np.random.default_rng(0).standard_normal(len(evolve._real_sectors(model)[1][0][0]))
         real_gmres = evolve._gmres
         checks = []
 
@@ -538,7 +577,7 @@ class TestSteadyState:
         # out by its size and right-hand side, whichever thread reaches
         # GMRES first
         model = _population_degenerate(3)
-        size = len(_real_sectors(model)[0][0])
+        size = len(evolve._real_sectors(model)[1][0][0])
         check, _ = evolve._check_system(size)
         real_spilu, real_gmres = evolve.spla.spilu, evolve._gmres
         solved, checks = [], []
@@ -574,19 +613,9 @@ class TestSteadyState:
         # eig of each sector takes ~20 s, the unpatched route's
         model = _dpo(dims)
         expected = _steady(model, reference)
-        real_spilu = evolve.spla.spilu
-        served = []
-
-        def spilu(A, **kwargs):
-            rung = (kwargs["drop_tol"], kwargs["fill_factor"])
-            if rung == evolve.ILU_LADDER[0]:
-                raise RuntimeError("Factor is exactly singular")
-            served.append(rung)
-            return real_spilu(A, **kwargs)
-
-        monkeypatch.setattr(evolve.spla, "spilu", spilu)
+        served = _recording_spilu(monkeypatch, failing=(evolve.ILU_LADDER[0],))
         rho = _steady(model, "auto")
-        assert served == [evolve.ILU_LADDER[1]] * len(_real_sectors(model))
+        assert served == [evolve.ILU_LADDER[1]] * len(evolve._real_sectors(model)[1])
         assert np.abs(rho - expected).max() < 1e-12
 
     def test_ladder_falls_back_on_exactly_singular_first_rung(self):
@@ -594,22 +623,15 @@ class TestSteadyState:
         # trace-row system leaves the first rung's incomplete LU exactly
         # singular, unforced: the walk goes on to the last rung, which
         # serves it
-        space = fock.make_space([6])
-        rng = np.random.default_rng(1)
-        M = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) \
-            * (rng.random((6, 6)) < 0.05)
-        model = models.ModelSpec(space, fock.FieldOperator(space, 20 * (M + M.conj().T) / 2),
-                                 dissipators=((fock.annihilation(space, 0), 0.05),))
-        d = space.total_dim
-        (idx, Lr), = _real_sectors(model)
+        model = _random_damped((6,), 1)
+        d = model.space.total_dim
+        (idx, Lr), = evolve._real_sectors(model)[1]
         A = scipy.sparse.vstack([scipy.sparse.csr_matrix((idx // d == idx % d).astype(float)),
                                  Lr[1:]], format="csc")
         assert np.linalg.matrix_rank(A.toarray()) == len(idx)
-        first, last = ({"drop_tol": drop_tol, "fill_factor": fill, "permc_spec": "NATURAL"}
-                       for drop_tol, fill in (evolve.ILU_LADDER[0], evolve.ILU_LADDER[-1]))
         with pytest.raises(RuntimeError, match="singular"):
-            scipy.sparse.linalg.spilu(A, **first)
-        ilu = scipy.sparse.linalg.spilu(A, **last)
+            _rung_ilu(A, evolve.ILU_LADDER[0])
+        ilu = _rung_ilu(A, evolve.ILU_LADDER[-1])
         rhs = np.zeros(len(idx))
         rhs[0] = 1.0
         systems = [evolve._check_system(len(idx)), (rhs, 1e-13)]
@@ -638,7 +660,7 @@ class TestSteadyState:
         # the in-package GMRES against scipy's under the same first-rung ILU,
         # on every check system and the trace-row system of the shipped route
         for A, rhs, rtol in _sector_systems(_dpo(dims), monkeypatch):
-            ilu = _rung0_ilu(A)
+            ilu = _rung_ilu(A, evolve.ILU_LADDER[0])
             x, _, residual = evolve._gmres(A, ilu.solve, rhs, rtol)
             reference, info = _scipy_gmres(A, ilu.solve, rhs, rtol)
             assert info == 0 and residual <= rtol
@@ -663,7 +685,8 @@ class TestSteadyState:
                     and np.array_equal(rhs, evolve._check_system(len(rhs))[0])]
         assert singular
         for A, rhs, rtol in singular:
-            ilu = _rung0_ilu((A + 1e-8 * scipy.sparse.identity(A.shape[0])).tocsc())
+            ilu = _rung_ilu((A + 1e-8 * scipy.sparse.identity(A.shape[0])).tocsc(),
+                            evolve.ILU_LADDER[0])
             _, iters, residual = evolve._gmres(A, ilu.solve, rhs, rtol)
             _, info = _scipy_gmres(A, ilu.solve, rhs, rtol)
             assert residual > rtol and info != 0 and iters <= 200
@@ -706,9 +729,8 @@ class TestSteadyState:
         # the trace-row system of the real population sector, the Re half of
         # its set
         model = _dpo((8, 6))
-        size = len(_real_sectors(model)[0][0])
-        assert size < len(evolve._closed_sectors(evolve.liouvillian(model),
-                                                 model.space.total_dim)[0])
+        size = len(evolve._real_sectors(model)[1][0][0])
+        assert size < len(fock.sectors(evolve.liouvillian(model))[0])
         real_spilu, real_gmres = evolve.spla.spilu, evolve._gmres
         orders, systems = [], []
 
@@ -725,9 +747,9 @@ class TestSteadyState:
         monkeypatch.setattr(evolve.spla, "spilu", spilu)
         monkeypatch.setattr(evolve, "_gmres", gmres)
         evolve.steady_state(model)
-        assert len(systems) == 1 and len(set(orders)) == 1
-        for drop_tol, fill in evolve.ILU_LADDER:
-            real_spilu(systems[0], drop_tol=drop_tol, fill_factor=fill, permc_spec=orders[0])
+        assert len(systems) == 1 and set(orders) == {"NATURAL"}
+        for rung in evolve.ILU_LADDER:
+            _rung_ilu(systems[0], rung)
 
     @pytest.mark.parametrize("dims", [(8, 6), (12, 8)], ids=["dpo-8-6", "dpo-12-8"])
     def test_pool_size_leaves_solution_bit_identical(self, dims, monkeypatch):
@@ -771,7 +793,7 @@ class TestSteadyState:
         # check fails; the error named is always that of the lowest one
         model = _dpo((8, 6))
         d = model.space.total_dim
-        real = _real_sectors(model)
+        real = evolve._real_sectors(model)[1]
         size = len(real[0][0])
         assert all(len(idx) != size for idx, _ in real[1:])
         n, m = divmod(int(real[1][0][0]), d)
@@ -799,6 +821,35 @@ class TestSteadyState:
         a = fock.annihilation(space, 0)
         sigma_y = 1j * (a.dag() - a)
         model = models.ModelSpec(space, 0.3 * sigma_y, dissipators=((sigma_y, 0.5),))
-        assert [list(idx) for idx, _ in _real_sectors(model)] == [[0, 1, 3], [2]]
+        assert [list(idx) for idx, _ in evolve._real_sectors(model)[1]] == [[0, 1, 3], [2]]
         with pytest.raises(AmbiguityError):
             _steady(model, method)
+
+
+class TestFallbackRung:
+    """The last rung of ``evolve.ILU_LADDER`` drops by tolerance alone, and
+    serves nonsingular sectors that the first rung does not."""
+
+    @pytest.mark.parametrize("dims, seed", [((20,), 0), ((20,), 1), ((5, 5), 0)],
+                             ids=["20-seed0", "20-seed1", "5-5-seed0"])
+    def test_random_damped_matches_dense(self, dims, seed, monkeypatch):
+        # each has a single null eigenvalue, so its steady state is unique;
+        # the walk reaches the last rung, whose factor under the area rule was
+        # exactly singular or left GMRES short of rtol
+        model = _random_damped(dims, seed)
+        rungs = _recording_spilu(monkeypatch)
+        rho = _steady(model, "auto")
+        assert rungs[-1] == evolve.ILU_LADDER[-1]
+        assert np.abs(rho - _steady(model, "dense")).max() < 1e-10
+
+    def test_dpo_at_three_times_threshold_served_by_last_rung(self, monkeypatch):
+        # the first rung serves every sector of this oscillator; with it made
+        # to fail, the last rung serves them all
+        kappa, gamma_a, gamma_b = 0.25, 1.0, 2.0
+        model = models.dpo_model(fock.make_space([12, 8]), kappa,
+                                 3.0 * gamma_a * gamma_b / kappa, gamma_a, gamma_b)
+        expected = evolve.steady_state(model).data
+        rungs = _recording_spilu(monkeypatch, failing=(evolve.ILU_LADDER[0],))
+        rho = evolve.steady_state(model).data
+        assert rungs == [evolve.ILU_LADDER[-1]] * len(evolve._real_sectors(model)[1])
+        assert np.abs(rho - expected).max() < 1e-10

@@ -273,6 +273,31 @@ class TestPartialTrace:
             assert np.array_equal(fock.partial_trace(st, keep).data,
                                   self._density_route(st, keep))
 
+    def test_density_state_matches_einsum(self):
+        # a density state reduces by the trace over each traced mode; two
+        # thermal factors, and a random mixed state with two modes traced
+        product = fock.thermal_state(fock.make_space([6, 5]), [0.4, 0.9])
+        rho = product.data.reshape(6, 5, 6, 5)
+        for keep, ref in (([0], np.einsum("ajbj->ab", rho)), ([1], np.einsum("iaib->ab", rho))):
+            np.testing.assert_allclose(fock.partial_trace(product, keep).data, ref,
+                                       rtol=0.0, atol=1e-15)
+        rng = np.random.default_rng(7)
+        G = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+        mixed = fock.QuantumState(fock.make_space([3, 4, 5]), "density",
+                                  G @ G.conj().T / np.trace(G @ G.conj().T).real)
+        rho = mixed.data.reshape(3, 4, 5, 3, 4, 5)
+        for keep, spec in (([0], "ajkbjk->ab"), ([1], "iakibk->ab"), ([2], "ijaijb->ab")):
+            np.testing.assert_allclose(fock.partial_trace(mixed, keep).data,
+                                       np.einsum(spec, rho), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dims", [(5, 5), (3, 30), (30, 3), (3, 4, 5)])
+    def test_density_state_matches_pure_route(self, dims):
+        st = self._random_pure(dims, sum(dims))
+        for traced in range(len(dims)):
+            keep = [m for m in range(len(dims)) if m != traced]
+            assert np.array_equal(fock.partial_trace(st.as_density_state(), keep).data,
+                                  fock.partial_trace(st, keep).data)
+
     def test_pure_route_builds_no_full_density(self):
         # the (64, 64) density is 4096^2 complex entries, 268 MB
         st = self._random_pure((64, 64), 0)
