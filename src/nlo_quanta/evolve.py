@@ -22,23 +22,26 @@ Numerical routes
   every other real sector's system is the sector itself. Each system is
   shown nonsingular by one check: GMRES on a fixed random right-hand side
   (``_check_system``) must converge under an incomplete LU. GMRES is the
-  package's own ``_gmres``, right-preconditioned GMRES(100) for at most 400
-  cycles and none after one that leaves the true residual no lower, and a
-  system converges iff ||b - A x|| <= rtol ||b||. One walk down
-  ``ILU_LADDER`` (``_solve_sector``) factors the system once per rung and
-  runs the check, then, on the population sector, the trace-constrained
-  solve; the first rung on which both converge serves. A sector that no
-  rung serves is taken to be singular and raises AmbiguityError naming it,
-  so a second null vector is caught whether or not it has trace, and so is
-  a second sector holding populations rho_nn, of which the trace
-  functional is a left null vector. The calling thread walks the
-  population sector while max(1, usable CPUs - 1) workers walk the others
-  (``_run_sectors``). Every ILU factors in the sector's own row-major
-  order of rho, which is already banded (``NATURAL``); minimum degree only
-  adds fill there. The trace row is rho_00's, the first; on DPO (6, 4) to
-  (13, 15) rho_{d-1,d-1}'s, the last, serves as well on every rung. This is
-  the one route; ``_steady_dense``, a dense eig per real sector, is its
-  private slow reference.
+  package's own ``_gmres``, right-preconditioned GMRES(100) for at most a
+  rung's budget of cycles and none after one that leaves the true residual
+  no lower, and a system converges iff ||b - A x|| <= rtol ||b||. One walk
+  down ``ILU_LADDER`` (``_solve_sector``) factors the system once per rung
+  and runs the check, then, on the population sector, the trace-constrained
+  solve; the first rung on which both converge serves. The ladder has three
+  rungs: a cheap factor with a 2-cycle budget, which serves every sector
+  below threshold, a tighter one at 400 cycles, and a fallback that drops
+  by tolerance alone. A sector that no rung serves is taken to be singular
+  and raises AmbiguityError naming it and each rung's failure, so a second
+  null vector is caught whether or not it has trace, and so is a second
+  sector holding populations rho_nn, of which the trace functional is a
+  left null vector. The calling thread walks the population sector while
+  max(1, usable CPUs - 1) workers walk the others (``_run_sectors``). Every
+  ILU factors in the sector's own row-major order of rho, which is already
+  banded (``NATURAL``); minimum degree only adds fill there. The trace row
+  is rho_00's, the first; on DPO (6, 4) to (12, 8) rho_{d-1,d-1}'s, the
+  last, serves as well on every rung, but at (13, 15) not within the first
+  rung's budget. This is the one route; ``_steady_dense``, a dense eig per
+  real sector, is its private slow reference.
 
 No scipy module is loaded with this module. ``sp`` and ``spla`` are
 ``LazyModule`` stand-ins that import ``scipy.sparse`` and
@@ -163,17 +166,21 @@ def _check_density_sample(space, m, t, tail):
     tr = complex(np.trace(m))
     if abs(tr - 1.0) >= TRACE_TOL:
         raise NumericsError(f"trace drift {abs(tr - 1.0):.2e} at t={t} exceeds {TRACE_TOL}")
-    return QuantumState(space, "density", _clip_negative_eigenvalues(m / tr.real, f"t={t}"), tail)
+    return QuantumState._spectrum_checked(
+        space, _clip_negative_eigenvalues(m / tr.real, f"t={t}"), tail)
 
 
 def _clip_negative_eigenvalues(m, where: str):
     """``m`` with eigenvalues <= -NEGATIVE_EIGENVALUE_FLOOR (noise) clipped to 0, renormalized;
-    one below -NEGATIVE_EIGENVALUE_LIMIT raises NumericsError naming ``where``."""
-    w, v = np.linalg.eigh(m)
-    if w.min() < -NEGATIVE_EIGENVALUE_LIMIT:
-        raise NumericsError(f"density eigenvalue {w.min():.2e} at {where} is below "
+    one below -NEGATIVE_EIGENVALUE_LIMIT raises NumericsError naming ``where``. The density's
+    one eigenvalue pass, so its ``QuantumState`` is made by ``_spectrum_checked``: ``eigvalsh``,
+    and ``eigh`` only when a clip is needed."""
+    evmin = np.linalg.eigvalsh(m).min()
+    if evmin < -NEGATIVE_EIGENVALUE_LIMIT:
+        raise NumericsError(f"density eigenvalue {evmin:.2e} at {where} is below "
                             f"-{NEGATIVE_EIGENVALUE_LIMIT}")
-    if w.min() <= -NEGATIVE_EIGENVALUE_FLOOR:
+    if evmin <= -NEGATIVE_EIGENVALUE_FLOOR:
+        w, v = np.linalg.eigh(m)
         w = np.clip(w, 0.0, None)
         m = (v * w) @ v.conj().T
         m = m / np.trace(m).real
@@ -229,21 +236,28 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
     return EvolutionResult(model, times, states)
 
 
-#: (drop_tol, fill_factor) rungs tried in order for the sector ILUs, which
-#: factor in band (NATURAL) order: a cheap rung, then one strong fallback.
-#: The first serves every sector of the benchmark workloads, criterion 7 and
-#: DPO (3, 3) to (16, 12); 125 of 256 random models with 30%-fill H need the second.
-#: The fallback has no fill factor and drops by tolerance alone (SuperLU's
-#: ``basic`` rule): the default ``area`` rule, which also drops to keep fill
-#: near the fill factor, left zero pivots in nonsingular sectors.
-ILU_LADDER = ((1e-1, 2), (1e-3, None))
+#: (drop_tol, fill_factor, GMRES cycles) rungs tried in order for the sector
+#: ILUs, which factor in band (NATURAL) order. The first is the cheapest, and
+#: serves every sector of criterion 7, the benchmark workloads and DPO (3, 3)
+#: to (16, 12) below threshold. Its 2 cycles (200 iterations) bound what a
+#: sector it does not serve costs: at 400 cycles a looser first rung ran one
+#: (13, 15) sector at three times threshold for 40,000 iterations. Such a
+#: sector then walks on exactly as a walk started at the second rung. That
+#: tighter factor, at 400 cycles, serves every sector of the same DPO sweep
+#: above threshold; at 2 cycles it would leave DPO (18, 12) at five times
+#: threshold to the last rung. The last has no fill factor and drops by
+#: tolerance alone (SuperLU's ``basic`` rule): the default ``area`` rule,
+#: which also drops to keep fill near the fill factor, left zero pivots in
+#: nonsingular sectors. At most 125 of 256 random models with 30%-fill H
+#: reach it.
+ILU_LADDER = ((0.15, 2, 2), (1e-1, 2, 400), (1e-3, None, 400))
 
 
-def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float) -> tuple:
+def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float, cycles: int) -> tuple:
     """Restarted GMRES(100) for A x = b, right-preconditioned by ``solve``
     (an approximate A^-1, such as an incomplete LU's ``solve``), for at most
-    400 cycles. Returns (x, iterations, ||b - A x|| / ||b||); the system
-    converged iff that true relative residual is <= rtol.
+    ``cycles`` cycles. Returns (x, iterations, ||b - A x|| / ||b||); the
+    system converged iff that true relative residual is <= rtol.
 
     Arnoldi runs on A M^-1, so its residual estimate is that of b - A x
     itself, not a preconditioned one. Each step orthogonalizes by classical
@@ -271,7 +285,7 @@ def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float) -> tuple:
     V = np.empty((m + 1, n))
     r, rnorm = b, bnorm
     iters = 0
-    for _ in range(400):
+    for _ in range(cycles):
         start = rnorm
         V[0] = r / rnorm
         g, rotations, columns = [rnorm], [], []
@@ -320,29 +334,33 @@ def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int) -> l
     """The solutions of A x = rhs for each (rhs, rtol) of ``systems``, on
     the real sector at the flat positions ``idx``: the one ladder walk of
     the sector. Each rung of ``ILU_LADDER`` factors A once, and ``_gmres``
-    runs on the systems in order under that incomplete LU; the solutions of
-    the first rung on which every one converges are returned.
+    runs on the systems in order under that incomplete LU, for at most the
+    rung's cycles each; the solutions of the first rung on which every one
+    converges are returned. A rung that fails leaves nothing to the next,
+    which starts afresh.
 
     A is factored in its given order (``permc_spec="NATURAL"``): a sector's
     row-major order of rho is banded, and minimum degree only adds fill.
     The order also keeps the trace row first, where ``_steady_ilu`` puts
     it. A sector that no rung solves is taken to be singular: it holds a
-    second null vector of L, and AmbiguityError names it.
+    second null vector of L, and AmbiguityError names it and says how each
+    rung failed.
     """
-    failure = "no rung tried"
-    for drop_tol, fill in ILU_LADDER:
+    failures = []
+    for drop_tol, fill, cycles in ILU_LADDER:
+        rung = f"drop_tol {drop_tol}, fill {fill}"
         try:
             ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill,
                              drop_rule=None if fill else "basic", permc_spec="NATURAL")
         except RuntimeError:  # SuperLU found a zero pivot
-            failure = f"exactly singular incomplete LU factor at drop_tol {drop_tol}"
+            failures.append(f"{rung}: exactly singular incomplete LU factor, 0 iterations")
             continue
         xs = []
         for rhs, rtol in systems:
-            x, iters, residual = _gmres(A, ilu.solve, rhs, rtol)
+            x, iters, residual = _gmres(A, ilu.solve, rhs, rtol, cycles)
             if not residual <= rtol:  # a NaN residual fails too
-                failure = (f"GMRES reached residual {residual:.0e} > {rtol:.0e} after {iters} "
-                           f"iterations at drop_tol {drop_tol}")
+                failures.append(f"{rung}: GMRES reached residual {residual:.0e} > {rtol:.0e} "
+                                f"after {iters} iterations")
                 break
             xs.append(x)
         else:
@@ -350,7 +368,8 @@ def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int) -> l
     row, col = divmod(int(idx[0]), d)
     raise AmbiguityError(
         f"Liouvillian sector of {len(idx)} real unknowns from rho[{row}, {col}] looks singular, "
-        f"so the null space is degenerate (preconditioned solve failed: {failure})")
+        f"so the null space is degenerate (preconditioned solve failed on every rung: "
+        f"{'; '.join(failures)})")
 
 
 def _check_system(n: int) -> tuple:
@@ -556,8 +575,9 @@ def steady_state(model: ModelSpec) -> QuantumState:
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise NumericsError("steady-state candidate has vanishing trace")
-    rho = rho / tr
+    # the residual is that of the density returned, after any clip
+    rho = _clip_negative_eigenvalues(rho / tr, "steady state")
     residual = float(np.linalg.norm(L @ rho.reshape(-1)))
-    if residual >= STEADY_RESIDUAL_TOL:
+    if not residual < STEADY_RESIDUAL_TOL:  # a NaN fails too
         raise NumericsError(f"steady-state residual {residual:.2e} exceeds {STEADY_RESIDUAL_TOL}")
-    return QuantumState(model.space, "density", _clip_negative_eigenvalues(rho, "steady state"))
+    return QuantumState._spectrum_checked(model.space, rho)

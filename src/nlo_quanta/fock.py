@@ -194,6 +194,22 @@ class QuantumState:
     tail_mass: float = 0.0
 
     def __post_init__(self):
+        self._check(spectrum=True)
+
+    @classmethod
+    def _spectrum_checked(cls, space: SpaceDescriptor, data: np.ndarray,
+                          tail_mass: float = 0.0) -> "QuantumState":
+        """A density state whose eigenvalues the caller has already checked
+        (``evolve._clip_negative_eigenvalues``): every constructor check but
+        the eigenvalue pass, which would repeat the caller's."""
+        state = object.__new__(cls)
+        for name, value in (("space", space), ("kind", "density"), ("data", data),
+                            ("tail_mass", tail_mass)):
+            object.__setattr__(state, name, value)
+        state._check(spectrum=False)
+        return state
+
+    def _check(self, spectrum: bool):
         n = self.space.total_dim
         if self.kind == "pure":
             if self.data.shape != (n,):
@@ -212,9 +228,10 @@ class QuantumState:
             herm = float(np.abs(self.data - self.data.conj().T).max())
             if not herm < HERMITICITY_TOL:
                 raise ContractError(f"density hermiticity defect {herm} beyond {HERMITICITY_TOL}")
-            evmin = float(np.linalg.eigvalsh(self.data).min())
-            if evmin <= -NEGATIVE_EIGENVALUE_FLOOR:
-                raise ContractError(f"density has negative eigenvalue {evmin}")
+            if spectrum:
+                evmin = float(np.linalg.eigvalsh(self.data).min())
+                if evmin <= -NEGATIVE_EIGENVALUE_FLOOR:
+                    raise ContractError(f"density has negative eigenvalue {evmin}")
         else:
             raise ContractError(f"unknown state kind {self.kind!r}")
 

@@ -145,6 +145,19 @@ class TestEvolvePure:
             evolve.evolve_pure(model, fock.vacuum_state(space), [1.0])
 
 
+def _counting_eigen(monkeypatch):
+    """The names of the ``np.linalg`` eigenvalue solvers called from now
+    on, in order of call."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def _full_complex_lindblad(model, rho0, times):
     """Reference samples: DOP853 on the full complex vec(rho) under L, at
     the tolerances of evolve_lindblad."""
@@ -276,9 +289,33 @@ class TestEvolveLindblad:
             evolve._check_density_sample(space, np.diag([1.001, -0.001]).astype(complex),
                                          0.5, 0.0)
 
+    def test_one_eigenvalue_pass_per_density(self, monkeypatch):
+        # the clip's eigvalsh is each density's one eigenvalue pass: its
+        # QuantumState does not repeat it, and eigh runs only for a clip
+        model = _dpo((6, 4))
+        rho0 = fock.vacuum_state(model.space).as_density_state()
+        calls = _counting_eigen(monkeypatch)
+        evolve.steady_state(model)
+        assert calls == ["eigvalsh"]
+        calls.clear()
+        evolve.evolve_lindblad(model, rho0, [0.5, 1.0])
+        assert calls == ["eigvalsh"] * 2
+        calls.clear()
+        noisy = np.diag([1.0 + 1e-9, -1e-9]).astype(complex)
+        state = evolve._check_density_sample(fock.make_space([2]), noisy, 0.5, 0.0)
+        assert calls == ["eigvalsh", "eigh"] and state.data[1, 1].real == 0.0
+
 
 def _dpo(dims):
     return models.dpo_model(fock.make_space(dims), 0.3, 0.8, 0.7, 0.9)
+
+
+def _dpo_at(dims, ratio):
+    """The acceptance oscillator's rates, with the drive at ``ratio`` times
+    threshold."""
+    kappa, gamma_a, gamma_b = 0.25, 1.0, 2.0
+    return models.dpo_model(fock.make_space(dims), kappa, ratio * gamma_a * gamma_b / kappa,
+                            gamma_a, gamma_b)
 
 
 def _damped_number():
@@ -369,19 +406,20 @@ def _sector_systems(model, monkeypatch):
 def _rung_ilu(A, rung):
     """The incomplete LU of A at ``rung`` of ``evolve.ILU_LADDER``, as
     ``evolve._solve_sector`` factors it."""
-    drop_tol, fill = rung
+    drop_tol, fill, _ = rung
     return scipy.sparse.linalg.spilu(A, drop_tol=drop_tol, fill_factor=fill,
                                      drop_rule=None if fill else "basic", permc_spec="NATURAL")
 
 
 def _recording_spilu(monkeypatch, failing=()):
-    """Record the (drop_tol, fill_factor) rung of every ``spilu`` call of
+    """Record the ``evolve.ILU_LADDER`` rung of every ``spilu`` call of
     ``evolve``; a rung in ``failing`` raises as an exactly singular factor."""
     real_spilu = evolve.spla.spilu
     rungs = []
 
     def spilu(A, **kwargs):
-        rung = (kwargs["drop_tol"], kwargs["fill_factor"])
+        factor = (kwargs["drop_tol"], kwargs["fill_factor"])
+        rung, = [r for r in evolve.ILU_LADDER if r[:2] == factor]
         if rung in failing:
             raise RuntimeError("Factor is exactly singular")
         rungs.append(rung)
@@ -404,11 +442,12 @@ def _random_damped(dims, seed):
                                               for m in range(len(dims))))
 
 
-def _scipy_gmres(A, solve, rhs, rtol):
-    """scipy's GMRES, the reference for ``evolve._gmres``, at the budget
-    the steady-state route uses."""
+def _scipy_gmres(A, solve, rhs, rtol, cycles):
+    """scipy's GMRES, the reference for ``evolve._gmres``, at the same
+    budget of restart cycles."""
     M = scipy.sparse.linalg.LinearOperator(A.shape, solve, dtype=A.dtype)
-    return scipy.sparse.linalg.gmres(A, rhs, M=M, rtol=rtol, atol=0.0, restart=100, maxiter=400)
+    return scipy.sparse.linalg.gmres(A, rhs, M=M, rtol=rtol, atol=0.0, restart=100,
+                                     maxiter=cycles)
 
 
 class TestSteadyState:
@@ -437,6 +476,21 @@ class TestSteadyState:
         rho = evolve.steady_state(model)
         L = evolve.liouvillian(model)
         assert np.linalg.norm(L @ rho.data.reshape(-1)) < 1e-10
+
+    def test_residual_is_that_of_the_returned_density(self, monkeypatch):
+        # a clip that moves rho by 1e-7, within the clip's limit, must fail
+        # the residual contract: the residual is measured on the density that
+        # is returned, after the clip
+        real_clip = evolve._clip_negative_eigenvalues
+
+        def clip(m, where):
+            shift = np.zeros_like(m)
+            shift[0, 0], shift[1, 1] = 1e-7, -1e-7
+            return real_clip(m, where) + shift
+
+        monkeypatch.setattr(evolve, "_clip_negative_eigenvalues", clip)
+        with pytest.raises(NumericsError, match="steady-state residual"):
+            evolve.steady_state(_dpo((6, 4)))
 
     def test_no_dissipator_rejected(self):
         space = fock.make_space([5])
@@ -488,7 +542,8 @@ class TestSteadyState:
         with pytest.raises(AmbiguityError) as info:
             evolve.steady_state(model)
         message = str(info.value)
-        assert f"singular incomplete LU factor at drop_tol {evolve.ILU_LADDER[-1][0]}" in message
+        for drop_tol, fill, _ in evolve.ILU_LADDER:
+            assert f"drop_tol {drop_tol}, fill {fill}: exactly singular incomplete LU" in message
         assert ".c" not in message and "\n" not in message
 
     def test_population_degenerate_null_space_detected(self):
@@ -556,17 +611,22 @@ class TestSteadyState:
         real_gmres = evolve._gmres
         checks = []
 
-        def gmres(A, solve, rhs, rtol):
+        def gmres(A, solve, rhs, rtol, cycles):
             if np.array_equal(rhs, check):
                 checks.append(A.shape)
                 return np.zeros_like(rhs), 0, 1.0
-            return real_gmres(A, solve, rhs, rtol)
+            return real_gmres(A, solve, rhs, rtol, cycles)
 
         monkeypatch.setattr(evolve, "_gmres", gmres)
-        with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]"):
+        with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]") as info:
             evolve.steady_state(model)
-        # once per rung of the sector's one ladder walk
+        # once per rung of the sector's one ladder walk, and the error says
+        # how each rung failed
         assert len(checks) == len(evolve.ILU_LADDER)
+        failures = str(info.value).partition("failed on every rung: ")[2].rstrip(")").split("; ")
+        assert failures == [f"drop_tol {drop_tol}, fill {fill}: GMRES reached residual "
+                            f"1e+00 > 1e-08 after 0 iterations"
+                            for drop_tol, fill, _ in evolve.ILU_LADDER]
 
     def test_population_degenerate_solve_fails_check(self, monkeypatch):
         # a two-dimensional null space in the population sector, whose
@@ -585,21 +645,22 @@ class TestSteadyState:
         def shifted(A, **kwargs):
             return real_spilu((A + 1e-8 * scipy.sparse.identity(A.shape[0])).tocsc(), **kwargs)
 
-        def gmres(A, solve, rhs, rtol):
+        def gmres(A, solve, rhs, rtol, cycles):
             if len(rhs) == size and np.count_nonzero(rhs) == 1 and rhs[0] == 1.0:
                 solved.append(np.linalg.lstsq(A.toarray(), rhs, rcond=None)[0])
                 return solved[-1], 1, 0.0
             if np.array_equal(rhs, check):
                 checks.append(A.shape)
-            return real_gmres(A, solve, rhs, rtol)
+            return real_gmres(A, solve, rhs, rtol, cycles)
 
         monkeypatch.setattr(evolve.spla, "spilu", shifted)
         monkeypatch.setattr(evolve, "_gmres", gmres)
         with pytest.raises(AmbiguityError, match=r"from rho\[0, 0\]") as info:
             evolve.steady_state(model)
-        # the failure says how far the last rung's GMRES got
-        assert ("GMRES reached residual " in str(info.value)
-                and f"iterations at drop_tol {evolve.ILU_LADDER[-1][0]})" in str(info.value))
+        # the failure says how far each rung's GMRES got
+        for drop_tol, fill, _ in evolve.ILU_LADDER:
+            assert f"drop_tol {drop_tol}, fill {fill}: GMRES reached residual " in str(info.value)
+        assert str(info.value).endswith(" iterations)")
         # the check comes first and fails on every rung, so the failing
         # sector never reaches its solve
         assert checks == [(size, size)] * len(evolve.ILU_LADDER) and solved == []
@@ -636,7 +697,8 @@ class TestSteadyState:
         rhs[0] = 1.0
         systems = [evolve._check_system(len(idx)), (rhs, 1e-13)]
         for x, (b, rtol) in zip(evolve._solve_sector(A, systems, idx, d), systems):
-            assert np.array_equal(x, evolve._gmres(A, ilu.solve, b, rtol)[0])
+            assert np.array_equal(x, evolve._gmres(A, ilu.solve, b, rtol,
+                                                   evolve.ILU_LADDER[-1][2])[0])
         assert np.abs(_steady(model, "auto") - _steady(model, "dense")).max() < 1e-11
 
     @pytest.mark.parametrize("name", list(ORDER_MODELS))
@@ -657,12 +719,14 @@ class TestSteadyState:
     @pytest.mark.parametrize("dims", [(6, 4), (10, 6), (13, 15)],
                              ids=["dpo-6-4", "dpo-10-6", "dpo-13-15"])
     def test_gmres_matches_scipy(self, dims, monkeypatch):
-        # the in-package GMRES against scipy's under the same first-rung ILU,
-        # on every check system and the trace-row system of the shipped route
+        # the in-package GMRES against scipy's under the same first-rung ILU
+        # and budget, on every check system and the trace-row system of the
+        # shipped route
+        cycles = evolve.ILU_LADDER[0][2]
         for A, rhs, rtol in _sector_systems(_dpo(dims), monkeypatch):
             ilu = _rung_ilu(A, evolve.ILU_LADDER[0])
-            x, _, residual = evolve._gmres(A, ilu.solve, rhs, rtol)
-            reference, info = _scipy_gmres(A, ilu.solve, rhs, rtol)
+            x, _, residual = evolve._gmres(A, ilu.solve, rhs, rtol, cycles)
+            reference, info = _scipy_gmres(A, ilu.solve, rhs, rtol, cycles)
             assert info == 0 and residual <= rtol
             assert np.linalg.norm(rhs - A @ x) <= rtol * np.linalg.norm(rhs)
             # both residuals are within rtol ||b||, and A^-1 amplifies their
@@ -677,7 +741,7 @@ class TestSteadyState:
         # A + 1e-8 I. On the traceless model's system each cycle's estimate
         # meets rtol while the true residual does not fall, and the
         # in-package solve ends after the first such cycle, not after the
-        # 400-cycle budget
+        # 400-cycle budget of the second rung
         model = {"population-degenerate-3": lambda: _population_degenerate(3),
                  "traceless-null-vector": _traceless_null_vector}[name]()
         singular = [(A, rhs, rtol) for A, rhs, rtol in _sector_systems(model, monkeypatch)
@@ -687,8 +751,8 @@ class TestSteadyState:
         for A, rhs, rtol in singular:
             ilu = _rung_ilu((A + 1e-8 * scipy.sparse.identity(A.shape[0])).tocsc(),
                             evolve.ILU_LADDER[0])
-            _, iters, residual = evolve._gmres(A, ilu.solve, rhs, rtol)
-            _, info = _scipy_gmres(A, ilu.solve, rhs, rtol)
+            _, iters, residual = evolve._gmres(A, ilu.solve, rhs, rtol, 400)
+            _, info = _scipy_gmres(A, ilu.solve, rhs, rtol, 400)
             assert residual > rtol and info != 0 and iters <= 200
 
     def test_gmres_lucky_breakdown_is_exact(self):
@@ -697,25 +761,20 @@ class TestSteadyState:
         diagonal = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
         rhs = np.arange(1.0, 7.0)
         x, iters, residual = evolve._gmres(scipy.sparse.diags(diagonal).tocsc(), np.copy,
-                                           rhs, 1e-12)
+                                           rhs, 1e-12, 1)
         assert iters == 3 and residual <= 1e-12
         np.testing.assert_allclose(x, rhs / diagonal, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("name", list(ROUTE_MODELS))
     def test_route_is_pinned(self, name, monkeypatch):
         model = ROUTE_MODELS[name]()
-        real_spilu, real_gmres = evolve.spla.spilu, evolve._gmres
-        rungs, solves = [], []
+        real_gmres = evolve._gmres
+        rungs, solves = _recording_spilu(monkeypatch), []
 
-        def spilu(A, **kwargs):
-            rungs.append((kwargs["drop_tol"], kwargs["fill_factor"]))
-            return real_spilu(A, **kwargs)
-
-        def gmres(A, solve, rhs, rtol):
+        def gmres(A, solve, rhs, rtol, cycles):
             solves.append(A.shape)
-            return real_gmres(A, solve, rhs, rtol)
+            return real_gmres(A, solve, rhs, rtol, cycles)
 
-        monkeypatch.setattr(evolve.spla, "spilu", spilu)
         monkeypatch.setattr(evolve, "_gmres", gmres)
         evolve.steady_state(model)
         # the population sector, the Im half of its set and both halves of
@@ -738,11 +797,11 @@ class TestSteadyState:
             orders.append(kwargs["permc_spec"])
             return real_spilu(A, **kwargs)
 
-        def gmres(A, solve, rhs, rtol):
+        def gmres(A, solve, rhs, rtol, cycles):
             # the trace row is rho_00's, the first
             if len(rhs) == size and np.count_nonzero(rhs) == 1 and rhs[0] == 1.0:
                 systems.append(A)
-            return real_gmres(A, solve, rhs, rtol)
+            return real_gmres(A, solve, rhs, rtol, cycles)
 
         monkeypatch.setattr(evolve.spla, "spilu", spilu)
         monkeypatch.setattr(evolve, "_gmres", gmres)
@@ -800,9 +859,9 @@ class TestSteadyState:
         real_gmres = evolve._gmres
         delays = np.random.default_rng(1)
 
-        def failing(A, solve, rhs, rtol):
+        def failing(A, solve, rhs, rtol, cycles):
             if len(rhs) == size:  # the population solve and its check
-                return real_gmres(A, solve, rhs, rtol)
+                return real_gmres(A, solve, rhs, rtol, cycles)
             time.sleep(delays.uniform(0.0, 0.02))
             return np.zeros_like(rhs), 0, 1.0
 
@@ -843,13 +902,91 @@ class TestFallbackRung:
         assert np.abs(rho - _steady(model, "dense")).max() < 1e-10
 
     def test_dpo_at_three_times_threshold_served_by_last_rung(self, monkeypatch):
-        # the first rung serves every sector of this oscillator; with it made
-        # to fail, the last rung serves them all
-        kappa, gamma_a, gamma_b = 0.25, 1.0, 2.0
-        model = models.dpo_model(fock.make_space([12, 8]), kappa,
-                                 3.0 * gamma_a * gamma_b / kappa, gamma_a, gamma_b)
+        # the first rung serves every sector of this oscillator; with every
+        # rung before the last made to fail, the last rung serves them all
+        model = _dpo_at((12, 8), 3.0)
         expected = evolve.steady_state(model).data
-        rungs = _recording_spilu(monkeypatch, failing=(evolve.ILU_LADDER[0],))
+        rungs = _recording_spilu(monkeypatch, failing=evolve.ILU_LADDER[:-1])
         rho = evolve.steady_state(model).data
         assert rungs == [evolve.ILU_LADDER[-1]] * len(evolve._real_sectors(model)[1])
         assert np.abs(rho - expected).max() < 1e-10
+
+
+class TestLadderBudget:
+    """The first rung of ``evolve.ILU_LADDER`` runs GMRES for at most its
+    budget of restart cycles, 100 iterations each."""
+
+    def test_budget_bounds_iterations_and_reports_true_residual(self):
+        # unpreconditioned, a spread spectrum converges slowly, each cycle
+        # lowering the residual: the budget, not the stall stop, ends it
+        A = scipy.sparse.diags(np.linspace(1.0, 1e4, 2000)).tocsc()
+        rhs = np.ones(2000)
+        x, iters, residual = evolve._gmres(A, np.copy, rhs, 1e-12, cycles=2)
+        assert iters == 200 and residual > 1e-12
+        assert residual == np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
+        assert evolve._gmres(A, np.copy, rhs, 1e-12, cycles=3)[1] == 300
+
+    def test_failed_first_rung_costs_its_budget_then_walks_on_from_the_second(self, monkeypatch):
+        # DPO (10, 8) at four times threshold: under the first rung's factor
+        # the population sector's check does not converge within the rung's
+        # budget. The walk of that sector then returns what a walk started at
+        # the second rung returns, to the bit. The walks of steady_state are
+        # recorded, then run again one at a time
+        walks = []
+        real_solve_sector, real_gmres = evolve._solve_sector, evolve._gmres
+
+        def recording(*walk):
+            walks.append(walk)
+            return real_solve_sector(*walk)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evolve, "_solve_sector", recording)
+            evolve.steady_state(_dpo_at((10, 8), 4.0))
+        runs = []
+
+        def gmres(A, solve, rhs, rtol, cycles):
+            out = real_gmres(A, solve, rhs, rtol, cycles)
+            runs.append((cycles, out[1], out[2] <= rtol))
+            return out
+
+        monkeypatch.setattr(evolve, "_gmres", gmres)
+        budget = evolve.ILU_LADDER[0][2]
+        assert all(cycles != budget for *_, cycles in evolve.ILU_LADDER[1:])
+        failed = []
+        for walk in walks:
+            runs.clear()
+            xs = evolve._solve_sector(*walk)
+            first = [(iters, converged) for cycles, iters, converged in runs if cycles == budget]
+            assert all(iters <= 100 * budget for iters, _ in first)
+            if all(converged for _, converged in first):
+                continue
+            # the population sector's walk: its check, then its solve
+            failed.append(len(walk[1]))
+            assert first[-1] == (100 * budget, False)
+            with monkeypatch.context() as patch:
+                patch.setattr(evolve, "ILU_LADDER", evolve.ILU_LADDER[1:])
+                restarted = evolve._solve_sector(*walk)
+            assert all(np.array_equal(x, y) for x, y in zip(xs, restarted, strict=True))
+        assert failed == [2]
+
+
+class TestLadderSweep:
+    """A slice of the DPO threshold sweep that the ladder rests on: below
+    threshold the first rung serves every sector, and above it no sector
+    needs the last rung."""
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.9, 3.0])
+    @pytest.mark.parametrize("dims", [(6, 4), (8, 6), (12, 8)],
+                             ids=["dpo-6-4", "dpo-8-6", "dpo-12-8"])
+    def test_served_rungs(self, dims, ratio, monkeypatch):
+        model = _dpo_at(dims, ratio)
+        rungs = _recording_spilu(monkeypatch)
+        rho = _steady(model, "auto")
+        if ratio < 1.0:
+            assert rungs == [evolve.ILU_LADDER[0]] * len(evolve._real_sectors(model)[1])
+        else:
+            assert evolve.ILU_LADDER[-1] not in rungs
+        # a dense eig of each (12, 8) sector takes ~20 s, and of each (8, 6)
+        # one ~0.3 s; test_ilu_matches_dense covers (8, 6) below threshold
+        if dims == (6, 4) or dims == (8, 6) and ratio > 1.0:
+            assert np.abs(rho - _steady(model, "dense")).max() < 1e-10

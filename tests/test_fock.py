@@ -186,6 +186,20 @@ class TestStates:
         assert abs(fock.expectation(st, nop).real - 1.5) < 1e-8
         assert abs(fock.variance(st, nop) - (1.5 ** 2 + 1.5)) < 1e-6
 
+    def test_spectrum_checked_density_keeps_every_other_check(self):
+        # the private path for a density whose eigenvalues the caller has
+        # checked skips that pass alone: a negative eigenvalue passes, a
+        # shape, trace or hermiticity defect does not
+        sp = fock.make_space([2])
+        skewed = np.diag([1.5, -0.5]).astype(complex)
+        with pytest.raises(ContractError, match="negative eigenvalue"):
+            fock.QuantumState(sp, "density", skewed)
+        state = fock.QuantumState._spectrum_checked(sp, skewed, 0.25)
+        assert (state.kind, state.tail_mass, state.data is skewed) == ("density", 0.25, True)
+        for bad in (np.eye(3) / 3, np.diag([0.6, 0.6]), np.array([[0.5, 0.1], [0.0, 0.5]])):
+            with pytest.raises(ContractError):
+                fock.QuantumState._spectrum_checked(sp, bad.astype(complex))
+
 
 class TestExpectationVariance:
     def test_vacuum_number(self):
