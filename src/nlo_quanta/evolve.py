@@ -4,18 +4,20 @@ Numerical routes
 ----------------
 * Unitary evolution: exact eigendecomposition below ``DENSE_EVOLVE_DIM``,
   Krylov ``expm_multiply`` above it.
-* Master equation: ``_real_sectors(model)`` is the one split of L. L is
-  block diagonal over the sectors of its pattern joined with rho -> rho^T,
-  e.g. the n_a - m_a parity classes of the parametric oscillator, or a
-  coherence order and its mirror. L preserves hermiticity, so on each such
-  set it is real in the coordinates Re rho_nm, Im rho_nm (n < m) and rho_nn
-  (``_real_block``). Each set is split once more by the pattern of that
-  real block: when H is i times a real matrix, as for the parametric
-  oscillator, L also commutes with rho -> rho* and a set falls apart into
-  its Re and Im halves. Every route works on these real sectors in
-  float64, and maps back to an exactly hermitian rho. Transients run
-  adaptive DOP853 on the real sectors rho0 occupies. Trace renormalization
-  is deliberately off; trace drift is an error signal.
+* Master equation: ``_real_sectors(model)`` is the one split of L. L
+  preserves hermiticity, so it is real in the coordinates Re rho_nm,
+  Im rho_nm (n < m) and rho_nn (``_coordinate_pairs``), and its rows
+  rho_nm with n <= m hold all of it: one scatter of their entries makes
+  the real generator R of the whole space, and ``fock.sectors`` splits R
+  once. Its sectors are the sets L is block diagonal over, a sector of L
+  joined with its mirror under rho -> rho^T (e.g. the n_a - m_a parity
+  classes of the parametric oscillator, or a coherence order and its
+  mirror), each split into its Re and Im halves when H is i times a real
+  matrix, as for the parametric oscillator, since L then also commutes
+  with rho -> rho*. L is dropped once R is made. Every route works on the
+  real sectors in float64, and maps back to an exactly hermitian rho.
+  Transients run adaptive DOP853 on the real sectors rho0 occupies. Trace
+  renormalization is deliberately off; trace drift is an error signal.
 * Steady states: one ladder walk per sector, check first. The real sector
   of rho_00 carries the steady state; its system is that sector with the
   row of rho_00 replaced by the trace functional, set equal to 1, and
@@ -56,6 +58,7 @@ through ``spla``, so a tracer times it by wrapping ``_gmres``.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -65,8 +68,8 @@ import numpy as np
 
 from ._lazy import LazyModule
 from .errors import AmbiguityError, ContractError, NumericsError
-from .fock import (HERMITICITY_TOL, NEGATIVE_EIGENVALUE_FLOOR, FieldOperator, QuantumState,
-                   expectation, sectors)
+from .fock import (NEGATIVE_EIGENVALUE_FLOOR, FieldOperator, QuantumState, expectation,
+                   sectors)
 from .models import ModelSpec
 
 sp = LazyModule("scipy.sparse")
@@ -160,6 +163,21 @@ def liouvillian(model: ModelSpec) -> sp.csr_matrix:
     return L.tocsr()
 
 
+def _lindblad_action(model: ModelSpec, rho: np.ndarray) -> np.ndarray:
+    """d rho/dt of the master equation at the d x d matrix rho, in its
+    operator form: -i[H, rho] + sum gamma (2 A rho A-dag - A-dag A rho
+    - rho A-dag A). The matrix of ``liouvillian(model) @ rho.reshape(-1)``,
+    at d x d cost."""
+    H = model.hamiltonian.sparse()
+    out = -1j * (H @ rho - rho @ H)
+    for op, gamma in model.dissipators:
+        A = op.sparse()
+        Ad = A.conj().T
+        AdA = Ad @ A
+        out += gamma * (2.0 * (A @ rho @ Ad) - AdA @ rho - rho @ AdA)
+    return out
+
+
 def _check_density_sample(space, m, t, tail):
     if not np.isfinite(m).all():
         raise NumericsError(f"non-finite density entries at t={t}")
@@ -206,12 +224,12 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
     the real sectors (``_real_sectors``) that the real coordinates of rho0
     occupy, so DOP853 integrates L on those sectors alone, in float64, at
     ``LINDBLAD_RTOL``/``LINDBLAD_ATOL``: from the vacuum that is the
-    population sector of the parametric oscillator, 930 of the 1800
-    entries of its transpose-closed set at dims (10, 6). Each sample maps
-    back to an exactly hermitian rho. Trace drift of ``TRACE_TOL`` or more
-    raises NumericsError. DOP853 starts from rho0 at t = 0 and runs
-    forward, so sample times must be a nonempty, finite, nondecreasing
-    sequence starting at or after 0, or ContractError is raised.
+    population sector of the parametric oscillator alone, 930 of the 3600
+    real coordinates at dims (10, 6). Each sample maps back to an exactly
+    hermitian rho. Trace drift of ``TRACE_TOL`` or more raises
+    NumericsError. DOP853 starts from rho0 at t = 0 and runs forward, so
+    sample times must be a nonempty, finite, nondecreasing sequence
+    starting at or after 0, or ContractError is raised.
     """
     if rho0.space != model.space:
         raise ContractError("state and model live on different spaces")
@@ -224,7 +242,7 @@ def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionRes
         return EvolutionResult(model, times, [rho0 for _ in times])
     d = model.space.total_dim
     x0 = _real_coordinates(rho0.data)
-    occupied = [(idx, A) for idx, A in _real_sectors(model)[1] if np.any(x0[idx])]
+    occupied = [(idx, A) for idx, A in _real_sectors(model) if np.any(x0[idx])]
     idx = np.concatenate([idx for idx, _ in occupied])
     A = sp.block_diag([A for _, A in occupied], format="csc")
     sol = solve_ivp(lambda t, y: A @ y, (0.0, times.max()), x0[idx],
@@ -380,76 +398,83 @@ def _check_system(n: int) -> tuple:
     return np.random.default_rng(0).standard_normal(n), 1e-8
 
 
-def _hermitian_basis(block: np.ndarray, d: int):
-    """Sparse maps S and S^-1 between the entries of rho on a sector closed
-    under rho -> rho^T and real coordinates at the same positions: Re rho_nm
-    at rho_nm's and Im rho_nm at rho_mn's for n < m, and rho_nn at its own.
-    S maps every real vector to a hermitian one. Its entries are 1 and +-i;
-    S^-1 = diag(w) S^H, with w = 1 on rho_nn's and 1/2 elsewhere, has
+def _coordinate_pairs(d: int) -> tuple:
+    """The real coordinates of a hermitian d x d matrix, the one statement
+    of their convention: Re rho_nm at rho_nm's flat position and Im rho_nm
+    at rho_mn's for n < m, and rho_nn at its own. Returns, for every flat
+    position q, the positions re[q] and im[q] of the Re and Im coordinates
+    of q's pair, and the sign s[q] with rho_q = x[re[q]] + i s[q] x[im[q]]:
+    +1 above the diagonal, -1 below it, and 0 on it, where re and im are q.
+    """
+    k, l = np.divmod(np.arange(d * d, dtype=np.int32), d)
+    low, high = np.minimum(k, l), np.maximum(k, l)
+    return low * d + high, high * d + low, np.sign(l - k)
+
+
+def _hermitian_basis(d: int):
+    """Sparse maps S and S^-1 between vec(rho) and the real coordinates x
+    of ``_coordinate_pairs``: (S x)_q = x[re[q]] + i s[q] x[im[q]], so S
+    maps every real vector to a hermitian matrix. Its entries are 1 and
+    +-i; S^-1 = diag(w) S^H, with w = 1 on rho_nn's and 1/2 elsewhere, has
     entries 1 and +-1/2 and +-i/2, so both products are exact.
     """
-    n, m = np.divmod(block, d)
-    upper = np.flatnonzero(n < m)
-    mirror = m[upper] * d + n[upper]
-    if not np.isin(mirror, block).all():
-        raise NumericsError("Liouvillian sector is not closed under rho -> rho^T")
-    lower = np.searchsorted(block, mirror)
-    diag = np.flatnonzero(n == m)
-    rows = np.concatenate([diag, upper, upper, lower, lower])
-    cols = np.concatenate([diag, upper, lower, upper, lower])
-    ones = np.ones(len(upper))
-    k = len(block)
-    S = sp.csc_matrix((np.concatenate([np.ones(len(diag)), ones, 1j * ones, ones, -1j * ones]),
-                       (rows, cols)), shape=(k, k))
-    return S, (sp.diags(np.where(n == m, 1.0, 0.5)) @ S.conj().T).tocsc()
+    re, im, sign = _coordinate_pairs(d)
+    q = np.arange(d * d)
+    off = np.flatnonzero(sign)
+    S = sp.csc_matrix((np.concatenate([np.ones(d * d), 1j * sign[off]]),
+                       (np.concatenate([q, off]), np.concatenate([re, im[off]]))),
+                      shape=(d * d, d * d))
+    return S, (sp.diags(np.where(sign == 0, 1.0, 0.5)) @ S.conj().T).tocsc()
 
 
-def _real_block(L: sp.csr_matrix, block: np.ndarray, d: int) -> sp.csc_matrix:
-    """L on a sector closed under rho -> rho^T, written in the real
-    coordinates of ``_hermitian_basis``: S^-1 L S.
+def _real_sectors(model: ModelSpec) -> list:
+    """The real sectors of the Liouvillian L of ``model``, the one split of
+    L that every route uses, as (flat positions, real block in CSC) pairs
+    ordered by first position, so the sector holding rho_00 comes first.
 
-    A Lindblad generator preserves hermiticity, so S^-1 L S is real; an
-    imaginary part beyond the hermiticity tolerance of the Hamiltonian
-    raises NumericsError.
-    """
-    S, S_inv = _hermitian_basis(block, d)
-    Lc = (S_inv @ L[block][:, block] @ S).tocsc()
-    Lr = Lc.real.copy()
-    if abs(Lc.imag).max() > HERMITICITY_TOL * max(1.0, abs(Lr).max()):
-        raise NumericsError("Liouvillian sector does not preserve hermiticity")
-    Lr.eliminate_zeros()
-    return Lr
-
-
-def _real_sectors(model: ModelSpec) -> tuple:
-    """L of ``model`` and its real sectors, the one split of L that every
-    route uses. ``fock.sectors`` of |L| + T, T the map rho -> rho^T, gives
-    the sets L is block diagonal over, a mirror pair of L's sectors being
-    one set. Each set's ``_real_block`` is split again by ``fock.sectors``
-    of its own pattern (the exact zeros are already dropped): when H is i
-    times a real matrix, L also commutes with rho -> rho*, and a set falls
-    apart into its Re and Im halves; otherwise it stays whole.
-
-    Returns (L, sectors), the sectors as (flat positions, real block in CSC)
-    pairs ordered by first position, so the sector holding rho_00 comes
-    first.
+    L preserves hermiticity, so its rows rho_nm with n <= m hold all of
+    it. Each of their entries L_pq is scattered, by its real and imaginary
+    parts, to the real generator R = S^-1 L S (``_hermitian_basis``) of
+    the whole space: rho_q = x[re[q]] + i s[q] x[im[q]], and (L rho)_p is
+    dx[p]/dt, plus i dx[im[p]]/dt above the diagonal. Every entry of R
+    takes at most two parts, those of rho_q and of its mirror.
+    ``fock.sectors`` of R are the sectors: the sets that L is block
+    diagonal over, a mirror pair of L's sectors being one set, and each
+    set split into its Re and Im halves when H is i times a real matrix,
+    for L then also commutes with rho -> rho*. L is gone before this
+    returns, so no d^2 x d^2 complex matrix is held while the sectors are
+    solved; the exact zeros of R, cancelled parts included, are dropped.
     """
     d = model.space.total_dim
-    L = liouvillian(model)
-    k = np.arange(d * d)
-    T = sp.csr_matrix((np.ones(d * d), (k, (k % d) * d + k // d)), shape=(d * d, d * d))
-    pairs = []
-    for block in sectors(abs(L) + T):
-        Lr = _real_block(L, block, d)
-        pairs += [(block[sub], Lr[sub][:, sub]) for sub in sectors(Lr)]
-    return L, sorted(pairs, key=lambda pair: pair[0][0])
+    re, im, sign = _coordinate_pairs(d)
+    upper_rows = np.flatnonzero(sign >= 0).astype(np.int32)
+    upper = liouvillian(model)[upper_rows]
+    p = np.repeat(upper_rows, np.diff(upper.indptr))
+    q, v = upper.indices, upper.data
+    del upper
+    off_p, s_q = sign[p] != 0, sign[q]
+
+    def nonzero(row, col, value):
+        keep = np.flatnonzero(value)
+        return row[keep], col[keep], value[keep]
+
+    # one part at a time, each filtered before the next is formed
+    parts = [nonzero(p, re[q], v.real), nonzero(p, im[q], -s_q * v.imag),
+             nonzero(im[p], re[q], off_p * v.imag), nonzero(im[p], im[q], off_p * s_q * v.real)]
+    del p, q, v, off_p, s_q
+    rows, cols, values = (np.concatenate(part) for part in zip(*parts))
+    del parts
+    R = sp.csr_matrix((values, (rows, cols)), shape=(d * d, d * d))
+    del rows, cols, values
+    R.eliminate_zeros()
+    return [(idx, R[idx][:, idx].tocsc()) for idx in sectors(R)]
 
 
 def _real_coordinates(rho: np.ndarray) -> np.ndarray:
     """Flat real coordinates of the hermitian part of rho: S^-1 of
     ``_hermitian_basis`` on the whole space. ``_densities`` inverts it."""
     d = rho.shape[0]
-    return (_hermitian_basis(np.arange(d * d), d)[1] @ rho.reshape(-1)).real
+    return (_hermitian_basis(d)[1] @ rho.reshape(-1)).real
 
 
 def _densities(xs, idx: np.ndarray, d: int):
@@ -458,7 +483,7 @@ def _densities(xs, idx: np.ndarray, d: int):
     flat positions ``idx`` and zero elsewhere. S is built once per call.
     Every entry is one coordinate, or one of them times +-i, so the map is
     exact."""
-    S = _hermitian_basis(np.arange(d * d), d)[0][:, idx]
+    S = _hermitian_basis(d)[0][:, idx]
     return ((S @ x).reshape(d, d) for x in xs)
 
 
@@ -517,11 +542,16 @@ def _run_sectors(jobs: list):
     (and no ``_called``) raised the peak RSS of the (13, 15) oscillator's
     benchmark pass from a median of 113.4 to 135.6 MB and left its wall
     time no better (0.588 -> 0.599 s; 2-core x86_64, 6 alternating pairs).
+
+    Each job runs in its own copy of the caller's context (two threads
+    cannot enter one Context at once): a pool worker starts from a fresh
+    one, so numpy's ``errstate``, a context variable, would otherwise hold
+    on the jobs the caller runs and not on the others.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1)) as pool:
-        futures = [pool.submit(job) for job in jobs[1:]]
+        futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs[1:]]
         result = jobs[0]()
         for k in reversed(range(len(futures))):
             if futures[k].cancel():
@@ -538,7 +568,7 @@ def _steady_dense(model: ModelSpec) -> np.ndarray:
     are counted over all sectors, and more than one raises AmbiguityError."""
     d = model.space.total_dim
     null_count = 0
-    for k, (idx, A) in enumerate(_real_sectors(model)[1]):
+    for k, (idx, A) in enumerate(_real_sectors(model)):
         evals, evecs = np.linalg.eig(A.toarray())
         null_count += int(np.sum(np.abs(evals) < 1e-9))
         if k == 0:
@@ -560,13 +590,15 @@ def steady_state(model: ModelSpec) -> QuantumState:
     L is block diagonal over its real sectors (``_real_sectors``). They
     are solved and shown nonsingular in float64 by one ladder walk per
     sector, check first, as the module docstring sets out; when several
-    sectors fail, the one with the lowest first position is named.
+    sectors fail, the one with the lowest first position is named. L itself
+    is not held while they are solved: the residual L(rho) is measured in
+    operator form (``_lindblad_action``), on the density returned.
     """
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
     d = model.space.total_dim
     # ordered by first position, so real[0] holds rho_00
-    L, real = _real_sectors(model)
+    real = _real_sectors(model)
     rho = _run_sectors(
         [functools.partial(_steady_ilu, real[0][1], real[0][0], d)]
         + [functools.partial(_solve_sector, A, [_check_system(len(idx))], idx, d)
@@ -577,7 +609,7 @@ def steady_state(model: ModelSpec) -> QuantumState:
         raise NumericsError("steady-state candidate has vanishing trace")
     # the residual is that of the density returned, after any clip
     rho = _clip_negative_eigenvalues(rho / tr, "steady state")
-    residual = float(np.linalg.norm(L @ rho.reshape(-1)))
+    residual = float(np.linalg.norm(_lindblad_action(model, rho)))
     if not residual < STEADY_RESIDUAL_TOL:  # a NaN fails too
         raise NumericsError(f"steady-state residual {residual:.2e} exceeds {STEADY_RESIDUAL_TOL}")
     return QuantumState._spectrum_checked(model.space, rho)

@@ -10,6 +10,7 @@ Tolerances are fixed here, not configurable: they are the package's contract.
 
 from __future__ import annotations
 
+import contextvars
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -348,14 +349,19 @@ def run_criterion(number: int) -> CheckResult:
 
 def run_all(fast: bool = False, threads: int = 1, printer=None) -> list[CheckResult]:
     """Run the acceptance matrix (the fast tier when ``fast``) on ``threads``
-    workers, each criterion through the module's current ``run_criterion``;
-    results come back, and go to ``printer``, in criterion order."""
+    workers, each criterion through the module's current ``run_criterion``
+    and in its own copy of the caller's context (numpy's ``errstate``
+    included); results come back, and go to ``printer``, in criterion
+    order."""
     from concurrent.futures import ThreadPoolExecutor
 
     numbers = list(FAST_CRITERIA) if fast else sorted(_CHECKS)
     results = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(run_criterion, numbers):
+        futures = [pool.submit(contextvars.copy_context().run, run_criterion, number)
+                   for number in numbers]
+        for future in futures:
+            result = future.result()
             if printer:
                 printer(result.line())
             results.append(result)

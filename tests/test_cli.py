@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nlo_quanta import cli, media, validation
@@ -375,6 +376,21 @@ class TestValidateCommand:
         assert result.details["error"] == "NumericsError: solver blew up"
         assert "check_raises" in result.details["traceback"]
         assert result.seconds > 0
+
+    def test_every_criterion_runs_in_the_callers_errstate(self, monkeypatch):
+        # numpy's errstate is a context variable, and pool workers start from
+        # a fresh context
+        seen = []
+
+        def run_criterion(number):
+            seen.append((number, np.geterr()["over"], np.geterr()["invalid"]))
+            return validation.CheckResult(number, "probe", True, {}, 0.0)
+
+        monkeypatch.setattr(validation, "run_criterion", run_criterion)
+        with np.errstate(over="raise", invalid="raise"):
+            results = validation.run_all(fast=True, threads=2)
+        assert [r.criterion for r in results] == list(validation.FAST_CRITERIA)
+        assert sorted(seen) == [(n, "raise", "raise") for n in sorted(validation.FAST_CRITERIA)]
 
     def test_raising_criterion_keeps_its_name(self, tmp_path, monkeypatch):
         def max_squeezing(n_pump):

@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -429,14 +431,14 @@ def _recording_spilu(monkeypatch, failing=()):
     return rungs
 
 
-def _random_damped(dims, seed):
+def _random_damped(dims, seed, fill=0.05):
     """A strong random sparse H, 20 (M + M^H) / 2 with M complex Gaussian at
-    5% fill, and every mode damped at 0.05."""
+    ``fill`` (5% unless given), and every mode damped at 0.05."""
     space = fock.make_space(dims)
     d = space.total_dim
     rng = np.random.default_rng(seed)
     M = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) \
-        * (rng.random((d, d)) < 0.05)
+        * (rng.random((d, d)) < fill)
     return models.ModelSpec(space, fock.FieldOperator(space, 20 * (M + M.conj().T) / 2),
                             dissipators=tuple((fock.annihilation(space, m), 0.05)
                                               for m in range(len(dims))))
@@ -476,6 +478,56 @@ class TestSteadyState:
         rho = evolve.steady_state(model)
         L = evolve.liouvillian(model)
         assert np.linalg.norm(L @ rho.data.reshape(-1)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["dpo-6-4", "damped-6", "random-5-5-seed0"])
+    def test_operator_form_is_the_liouvillian(self, name):
+        # the residual of steady_state is measured in operator form; on any
+        # matrix, hermitian or not, it is L vec(rho)
+        model = {"dpo-6-4": lambda: _dpo((6, 4)), "damped-6": _damped_number,
+                 "random-5-5-seed0": lambda: _random_damped((5, 5), 0)}[name]()
+        d = model.space.total_dim
+        L = evolve.liouvillian(model)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for m in (rho, rho + rho.conj().T):
+                expected = L @ m.reshape(-1)
+                action = evolve._lindblad_action(model, m)
+                assert action.shape == (d, d)
+                assert (np.linalg.norm(action.reshape(-1) - expected)
+                        <= 1e-13 * np.linalg.norm(expected))
+
+    def test_no_liouvillian_alive_while_solving(self, monkeypatch):
+        # the d^2 x d^2 complex L is gone before any sector is solved or
+        # integrated
+        real_liouvillian, real_run_sectors = evolve.liouvillian, evolve._run_sectors
+        real_solve_ivp = evolve.solve_ivp
+        made = []
+
+        def liouvillian(model):
+            L = real_liouvillian(model)
+            made.append(weakref.ref(L))
+            return L
+
+        def gone():
+            assert made and all(ref() is None for ref in made)
+
+        def run_sectors(jobs):
+            gone()
+            return real_run_sectors(jobs)
+
+        def integrate(*args, **kwargs):
+            gone()
+            return real_solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, "liouvillian", liouvillian)
+        monkeypatch.setattr(evolve, "_run_sectors", run_sectors)
+        monkeypatch.setattr(evolve, "solve_ivp", integrate)
+        model = _dpo((6, 4))
+        rho = evolve.steady_state(model)
+        evolve.evolve_lindblad(model, fock.vacuum_state(model.space), [0.5])
+        assert len(made) == 2
+        assert np.linalg.norm(real_liouvillian(model) @ rho.data.reshape(-1)) < 1e-10
 
     def test_residual_is_that_of_the_returned_density(self, monkeypatch):
         # a clip that moves rho by 1e-7, within the clip's limit, must fail
@@ -520,7 +572,7 @@ class TestSteadyState:
             return
         d = model.space.total_dim
         with pytest.raises(AmbiguityError):
-            for idx, A in evolve._real_sectors(model)[1][1:]:
+            for idx, A in evolve._real_sectors(model)[1:]:
                 evolve._solve_sector(A, [evolve._check_system(len(idx))], idx, d)
 
     def test_second_population_sector_fails_check(self):
@@ -558,27 +610,13 @@ class TestSteadyState:
         model = STEADY_MODELS[name]()
         assert np.abs(_steady(model, "auto") - _steady(model, "dense")).max() < 1e-12
 
-    @pytest.mark.parametrize("name", ["dpo-8-6", "driven-14"])
-    def test_real_basis_sector_is_real(self, name):
-        model = STEADY_MODELS[name]()
-        d = model.space.total_dim
-        L = evolve.liouvillian(model)
-        population = fock.sectors(L)[0]
-        S, S_inv = evolve._hermitian_basis(population, d)
-        Lc = S_inv @ L[population][:, population] @ S
-        assert abs(Lc.imag).max() == 0.0
-        assert abs(S_inv @ S - scipy.sparse.identity(len(population))).max() == 0.0
-        Lr = evolve._real_block(L, population, d)
-        assert Lr.dtype == np.float64
-        assert abs(Lr - Lc.real).max() == 0.0
-
     @pytest.mark.parametrize("method", ["auto", "ilu"])
     def test_steady_state_exactly_hermitian(self, method):
         # "ilu" takes the density of the real population sector's solve as
         # it comes: the real basis makes it hermitian
         model = _dpo((8, 6))
         if method == "ilu":
-            population, A = evolve._real_sectors(model)[1][0]
+            population, A = evolve._real_sectors(model)[0]
             rho = evolve._steady_ilu(A, population, model.space.total_dim)
         else:
             rho = evolve.steady_state(model).data
@@ -607,7 +645,7 @@ class TestSteadyState:
         # every other sector passes; here GMRES fails on the check's fixed
         # random right-hand side
         model = _dpo((8, 6))
-        check = np.random.default_rng(0).standard_normal(len(evolve._real_sectors(model)[1][0][0]))
+        check = np.random.default_rng(0).standard_normal(len(evolve._real_sectors(model)[0][0]))
         real_gmres = evolve._gmres
         checks = []
 
@@ -637,7 +675,7 @@ class TestSteadyState:
         # out by its size and right-hand side, whichever thread reaches
         # GMRES first
         model = _population_degenerate(3)
-        size = len(evolve._real_sectors(model)[1][0][0])
+        size = len(evolve._real_sectors(model)[0][0])
         check, _ = evolve._check_system(size)
         real_spilu, real_gmres = evolve.spla.spilu, evolve._gmres
         solved, checks = [], []
@@ -676,7 +714,7 @@ class TestSteadyState:
         expected = _steady(model, reference)
         served = _recording_spilu(monkeypatch, failing=(evolve.ILU_LADDER[0],))
         rho = _steady(model, "auto")
-        assert served == [evolve.ILU_LADDER[1]] * len(evolve._real_sectors(model)[1])
+        assert served == [evolve.ILU_LADDER[1]] * len(evolve._real_sectors(model))
         assert np.abs(rho - expected).max() < 1e-12
 
     def test_ladder_falls_back_on_exactly_singular_first_rung(self):
@@ -686,7 +724,7 @@ class TestSteadyState:
         # serves it
         model = _random_damped((6,), 1)
         d = model.space.total_dim
-        (idx, Lr), = evolve._real_sectors(model)[1]
+        (idx, Lr), = evolve._real_sectors(model)
         A = scipy.sparse.vstack([scipy.sparse.csr_matrix((idx // d == idx % d).astype(float)),
                                  Lr[1:]], format="csc")
         assert np.linalg.matrix_rank(A.toarray()) == len(idx)
@@ -788,7 +826,7 @@ class TestSteadyState:
         # the trace-row system of the real population sector, the Re half of
         # its set
         model = _dpo((8, 6))
-        size = len(evolve._real_sectors(model)[1][0][0])
+        size = len(evolve._real_sectors(model)[0][0])
         assert size < len(fock.sectors(evolve.liouvillian(model))[0])
         real_spilu, real_gmres = evolve.spla.spilu, evolve._gmres
         orders, systems = [], []
@@ -830,6 +868,23 @@ class TestSteadyState:
         rho, rho_1 = runs
         assert rho.shape == (model.space.total_dim,) * 2 and np.array_equal(rho, rho_1)
 
+    def test_every_job_runs_in_the_callers_errstate(self, monkeypatch):
+        # numpy's errstate is a context variable and a pool worker starts
+        # from a fresh context; the population job holds the calling thread
+        # while the one worker takes the others
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen = []
+
+        def job(k):
+            if k == 0:
+                time.sleep(0.05)
+            seen.append((k, np.geterr()["over"], np.geterr()["invalid"]))
+            return k
+
+        with np.errstate(over="raise", invalid="raise"):
+            assert evolve._run_sectors([functools.partial(job, k) for k in range(4)]) == 0
+        assert sorted(seen) == [(k, "raise", "raise") for k in range(4)]
+
     def test_first_sparse_solve_in_fresh_interpreter_bit_identical(self):
         # evolve imports scipy.sparse.linalg on first use, so in a fresh
         # interpreter the pool's worker makes its first read of evolve.spla
@@ -852,7 +907,7 @@ class TestSteadyState:
         # check fails; the error named is always that of the lowest one
         model = _dpo((8, 6))
         d = model.space.total_dim
-        real = evolve._real_sectors(model)[1]
+        real = evolve._real_sectors(model)
         size = len(real[0][0])
         assert all(len(idx) != size for idx, _ in real[1:])
         n, m = divmod(int(real[1][0][0]), d)
@@ -880,9 +935,69 @@ class TestSteadyState:
         a = fock.annihilation(space, 0)
         sigma_y = 1j * (a.dag() - a)
         model = models.ModelSpec(space, 0.3 * sigma_y, dissipators=((sigma_y, 0.5),))
-        assert [list(idx) for idx, _ in evolve._real_sectors(model)[1]] == [[0, 1, 3], [2]]
+        assert [list(idx) for idx, _ in evolve._real_sectors(model)] == [[0, 1, 3], [2]]
         with pytest.raises(AmbiguityError):
             _steady(model, method)
+
+
+def _reference_real_sectors(model):
+    """Slow reference for ``evolve._real_sectors``: the two-level split it
+    replaces. ``fock.sectors`` of |L| + T, T the map rho -> rho^T, gives the
+    sets closed under rho -> rho^T; S^-1 L S on each set is real, and each
+    real block is split again by ``fock.sectors`` of its own pattern."""
+    d = model.space.total_dim
+    L = evolve.liouvillian(model)
+    k = np.arange(d * d)
+    T = scipy.sparse.csr_matrix((np.ones(d * d), (k, (k % d) * d + k // d)), shape=(d * d, d * d))
+    S, S_inv = evolve._hermitian_basis(d)
+    pairs = []
+    for block in fock.sectors(abs(L) + T):
+        # S couples only the two entries of a mirror pair, so its block on a
+        # set closed under rho -> rho^T is that set's own basis
+        Lc = (S_inv[block][:, block] @ L[block][:, block] @ S[block][:, block]).tocsc()
+        assert abs(Lc.imag).max() == 0.0
+        Lr = Lc.real.copy()
+        Lr.eliminate_zeros()
+        pairs += [(block[sub], Lr[sub][:, sub]) for sub in fock.sectors(Lr)]
+    return sorted(pairs, key=lambda pair: pair[0][0])
+
+
+#: models whose real sectors are compared with the slow reference: a slice
+#: of the DPO threshold sweep, number-conserving and driven damping, the
+#: 5%-fill random family, a 30%-fill complex H and a dissipator a + a-dag
+#: that couples each coherence to its mirror's neighbours
+REAL_SECTOR_MODELS = {
+    **{f"dpo-{dims[0]}-{dims[1]}-ratio-{ratio}": functools.partial(_dpo_at, dims, ratio)
+       for dims in [(6, 4), (8, 6), (12, 8)] for ratio in (0.05, 0.9, 3.0)},
+    "dpo-8-6": lambda: _dpo((8, 6)),
+    "damped-6": _damped_number,
+    "driven-14": _driven_damped,
+    **{f"random-{'-'.join(map(str, dims))}-seed{seed}": functools.partial(_random_damped, dims, seed)
+       for dims, seed in [((20,), 0), ((6,), 1), ((5, 5), 0), ((8, 6), 0), ((4, 4, 3), 0)]},
+    **{f"random-30pct-6-4-seed{seed}": functools.partial(_random_damped, (6, 4), seed, 0.3)
+       for seed in (0, 1)},
+    "traceless-null-vector": _traceless_null_vector,
+}
+
+
+class TestRealSectors:
+    """``evolve._real_sectors`` scatters the rows rho_nm, n <= m, of L into
+    the real generator of the whole space and splits it once."""
+
+    @pytest.mark.parametrize("name", list(REAL_SECTOR_MODELS))
+    def test_matches_two_level_split_exactly(self, name):
+        model = REAL_SECTOR_MODELS[name]()
+        shipped, reference = evolve._real_sectors(model), _reference_real_sectors(model)
+        assert len(shipped) == len(reference)
+        for (idx, A), (ref_idx, ref_A) in zip(shipped, reference):
+            assert np.array_equal(idx, ref_idx)
+            assert A.format == "csc" and A.dtype == np.float64
+            assert A.nnz == ref_A.nnz and (A != ref_A).nnz == 0
+
+    def test_basis_maps_are_exact_inverses(self):
+        d = _dpo((8, 6)).space.total_dim
+        S, S_inv = evolve._hermitian_basis(d)
+        assert abs(S_inv @ S - scipy.sparse.identity(d * d)).max() == 0.0
 
 
 class TestFallbackRung:
@@ -908,7 +1023,7 @@ class TestFallbackRung:
         expected = evolve.steady_state(model).data
         rungs = _recording_spilu(monkeypatch, failing=evolve.ILU_LADDER[:-1])
         rho = evolve.steady_state(model).data
-        assert rungs == [evolve.ILU_LADDER[-1]] * len(evolve._real_sectors(model)[1])
+        assert rungs == [evolve.ILU_LADDER[-1]] * len(evolve._real_sectors(model))
         assert np.abs(rho - expected).max() < 1e-10
 
 
@@ -983,7 +1098,7 @@ class TestLadderSweep:
         rungs = _recording_spilu(monkeypatch)
         rho = _steady(model, "auto")
         if ratio < 1.0:
-            assert rungs == [evolve.ILU_LADDER[0]] * len(evolve._real_sectors(model)[1])
+            assert rungs == [evolve.ILU_LADDER[0]] * len(evolve._real_sectors(model))
         else:
             assert evolve.ILU_LADDER[-1] not in rungs
         # a dense eig of each (12, 8) sector takes ~20 s, and of each (8, 6)
