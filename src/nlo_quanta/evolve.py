@@ -18,32 +18,43 @@ Numerical routes
   real sectors in float64, and maps back to an exactly hermitian rho.
   Transients run adaptive DOP853 on the real sectors rho0 occupies. Trace
   renormalization is deliberately off; trace drift is an error signal.
-* Steady states: one ladder walk per sector, check first. The real sector
-  of rho_00 carries the steady state; its system is that sector with the
-  row of rho_00 replaced by the trace functional, set equal to 1, and
-  every other real sector's system is the sector itself. Each system is
-  shown nonsingular by one check: GMRES on a fixed random right-hand side
+* Steady states: one ladder walk per sector, check first. The real sector of
+  rho_00 carries the steady state; its system is that sector with the row of
+  rho_00 replaced by the trace functional, set equal to 1, and every other
+  real sector's system is the sector itself. Each system is shown
+  nonsingular by one check: GMRES on a fixed random right-hand side
   (``_check_system``) must converge under an incomplete LU. GMRES is the
   package's own ``_gmres``, right-preconditioned GMRES(100) for at most a
   rung's budget of cycles and none after one that leaves the true residual
   no lower, and a system converges iff ||b - A x|| <= rtol ||b||. One walk
   down ``ILU_LADDER`` (``_solve_sector``) factors the system once per rung
   and runs the check, then, on the population sector, the trace-constrained
-  solve; the first rung on which both converge serves. The ladder has three
-  rungs: a cheap factor with a 2-cycle budget, which serves every sector
-  below threshold, a tighter one at 400 cycles, and a fallback that drops
-  by tolerance alone. A sector that no rung serves is taken to be singular
-  and raises AmbiguityError naming it and each rung's failure, so a second
-  null vector is caught whether or not it has trace, and so is a second
-  sector holding populations rho_nn, of which the trace functional is a
-  left null vector. The calling thread walks the population sector while
-  max(1, usable CPUs - 1) workers walk the others (``_run_sectors``). Every
-  ILU factors in the sector's own row-major order of rho, which is already
-  banded (``NATURAL``); minimum degree only adds fill there. The trace row
-  is rho_00's, the first; on DPO (6, 4) to (12, 8) rho_{d-1,d-1}'s, the
-  last, serves as well on every rung, but at (13, 15) not within the first
-  rung's budget. This is the one route; ``_steady_dense``, a dense eig per
-  real sector, is its private slow reference.
+  solve; the first rung on which both converge serves. When H is i times a
+  real matrix and the jump operators are real, each set's Im half is the
+  mirror of an earlier sector, its partner (``_mirror_partners``): its image
+  under rho -> rho^T is the set's Re half, or lies inside it. The partner's
+  walk carries the mirror's: the mirror's own check runs first under the
+  partner's serving factor, mapped through those positions, for at most the
+  first rung's cycles and none after the first if it leaves the residual
+  too high for the rest of them to reach rtol at its rate
+  (``_promising_gmres``), and the mirror walks the ladder itself only if
+  that misses. So every real sector keeps its own check, and the parametric
+  oscillator factors twice where it would factor four times. The ladder has
+  three rungs: a cheap factor with a 2-cycle budget, which serves every sector
+  below threshold, a tighter one at 400 cycles, and a fallback that drops by
+  tolerance alone. A sector that no rung serves is taken to be singular and
+  raises AmbiguityError naming it and each rung's failure, so a second null
+  vector is caught whether or not it has trace, and so is a second sector
+  holding populations rho_nn, of which the trace functional is a left null
+  vector. The calling thread walks the population sector while max(1, usable
+  CPUs - 1) workers walk the other sectors that no partner carries
+  (``_run_sectors``). Every ILU factors in the sector's own row-major order
+  of rho, which is already banded (``NATURAL``); minimum degree only adds
+  fill there. The trace row is rho_00's, the first; on DPO (6, 4) to (12, 8)
+  rho_{d-1,d-1}'s, the last, serves as well on every rung, but at (13, 15)
+  not within the first rung's budget. This is the one route;
+  ``_steady_dense``, a dense eig per real sector, is its private slow
+  reference.
 
 No scipy module is loaded with this module. ``sp`` and ``spla`` are
 ``LazyModule`` stand-ins that import ``scipy.sparse`` and
@@ -348,7 +359,23 @@ def _gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float, cycles: int) -> 
     return x, iters, rnorm / bnorm
 
 
-def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int) -> list:
+def _promising_gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float, cycles: int) -> tuple:
+    """``_gmres`` for at most ``cycles`` cycles, run as one cycle and then,
+    only if that cycle left a residual r with r ** cycles <= rtol, the rest
+    of them in one call on the true residual, as ``_gmres`` restarts its own
+    cycles: the rest run only if, lowering r as much on each of them, they
+    could reach rtol. Returns (x, iterations, ||b - A x|| / ||b||), as
+    ``_gmres`` does."""
+    x, iters, residual = _gmres(A, solve, b, rtol, 1)
+    if residual <= rtol or not residual ** cycles <= rtol:  # a NaN gives up too
+        return x, iters, residual
+    dx, more, _ = _gmres(A, solve, b - A @ x, rtol / residual, cycles - 1)
+    x = x + dx
+    return x, iters + more, float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
+
+
+def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int, *,
+                  borrowed=None, mirrors=()) -> list:
     """The solutions of A x = rhs for each (rhs, rtol) of ``systems``, on
     the real sector at the flat positions ``idx``: the one ladder walk of
     the sector. Each rung of ``ILU_LADDER`` factors A once, and ``_gmres``
@@ -363,8 +390,38 @@ def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int) -> l
     it. A sector that no rung solves is taken to be singular: it holds a
     second null vector of L, and AmbiguityError names it and says how each
     rung failed.
+
+    ``mirrors`` are the walks this one carries: for each sector whose
+    image under rho -> rho^T lies in this one (``_mirror_partners``), its
+    walk, a callable taking ``borrowed``, the positions of its image here,
+    and a Future. Once a rung serves, each such walk runs with ``borrowed``
+    set to that rung's factor mapped through those positions (``_mirrored``)
+    and named "mirror of rho[n, m]'s factor" after this sector, and its
+    result or error goes to its Future. A walk given ``borrowed`` first
+    runs its systems under it (``_promising_gmres``) for at most the first
+    rung's cycles, whatever rung served the partner, and walks the ladder
+    from the first rung only if that misses; its AmbiguityError then lists
+    the borrowed try before the rungs.
     """
+    row, col = divmod(int(idx[0]), d)
     failures = []
+
+    def solved(solve, cycles, rung, gmres=_gmres):
+        xs = []
+        for rhs, rtol in systems:
+            x, iters, residual = gmres(A, solve, rhs, rtol, cycles)
+            if not residual <= rtol:  # a NaN residual fails too
+                failures.append(f"{rung}: GMRES reached residual {residual:.0e} > {rtol:.0e} "
+                                f"after {iters} iterations")
+                return None
+            xs.append(x)
+        return xs
+
+    if borrowed is not None:
+        solve, name = borrowed
+        xs = solved(solve, ILU_LADDER[0][2], name, _promising_gmres)
+        if xs is not None:
+            return xs
     for drop_tol, fill, cycles in ILU_LADDER:
         rung = f"drop_tol {drop_tol}, fill {fill}"
         try:
@@ -373,21 +430,57 @@ def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int) -> l
         except RuntimeError:  # SuperLU found a zero pivot
             failures.append(f"{rung}: exactly singular incomplete LU factor, 0 iterations")
             continue
-        xs = []
-        for rhs, rtol in systems:
-            x, iters, residual = _gmres(A, ilu.solve, rhs, rtol, cycles)
-            if not residual <= rtol:  # a NaN residual fails too
-                failures.append(f"{rung}: GMRES reached residual {residual:.0e} > {rtol:.0e} "
-                                f"after {iters} iterations")
-                break
-            xs.append(x)
-        else:
+        xs = solved(ilu.solve, cycles, rung)
+        if xs is not None:
+            for walk, positions, outcome in mirrors:
+                lent = (_mirrored(ilu.solve, positions, len(idx)),
+                        f"mirror of rho[{row}, {col}]'s factor")
+                _called(functools.partial(walk, borrowed=lent), outcome)
             return xs
-    row, col = divmod(int(idx[0]), d)
     raise AmbiguityError(
         f"Liouvillian sector of {len(idx)} real unknowns from rho[{row}, {col}] looks singular, "
         f"so the null space is degenerate (preconditioned solve failed on every rung: "
         f"{'; '.join(failures)})")
+
+
+def _mirrored(solve, positions: np.ndarray, n: int):
+    """``solve``, of a sector of order n, on the vectors of a mirror sector
+    whose image lies at ``positions`` in it: scattered there, solved, and
+    gathered back."""
+    def mirrored(v):
+        y = np.zeros(n)
+        y[positions] = v
+        return solve(y)[positions]
+
+    return mirrored
+
+
+def _mirror_partners(real: list, d: int) -> list:
+    """For each real sector of ``real`` (ordered by first position), its
+    partner and where its mirror image lies there: (k, positions) when the
+    image of its flat positions under rho -> rho^T (q -> (q mod d) d +
+    q div d) lies inside an earlier sector k, at ``positions`` of k's
+    sorted positions, and None otherwise.
+
+    When H is i times a real matrix and every jump operator is real, each
+    set closed under rho -> rho^T splits into a Re half and an Im half, and
+    the Im half is a mirror: its image is the other half, or lies inside it
+    when the set holds populations. A set that does not split is its own
+    image, so a model with complex H has no mirror. rho -> rho^T is an
+    involution, so no partner is itself a mirror.
+    """
+    owner = np.empty(d * d, dtype=np.intp)
+    for k, (idx, _) in enumerate(real):
+        owner[idx] = k
+    partners = []
+    for k, (idx, _) in enumerate(real):
+        image = (idx % d) * d + idx // d
+        j = owner[image[0]]
+        if j < k and np.all(owner[image] == j):
+            partners.append((j, np.searchsorted(real[j][0], image)))
+        else:
+            partners.append(None)
+    return partners
 
 
 def _check_system(n: int) -> tuple:
@@ -411,22 +504,6 @@ def _coordinate_pairs(d: int) -> tuple:
     return low * d + high, high * d + low, np.sign(l - k)
 
 
-def _hermitian_basis(d: int):
-    """Sparse maps S and S^-1 between vec(rho) and the real coordinates x
-    of ``_coordinate_pairs``: (S x)_q = x[re[q]] + i s[q] x[im[q]], so S
-    maps every real vector to a hermitian matrix. Its entries are 1 and
-    +-i; S^-1 = diag(w) S^H, with w = 1 on rho_nn's and 1/2 elsewhere, has
-    entries 1 and +-1/2 and +-i/2, so both products are exact.
-    """
-    re, im, sign = _coordinate_pairs(d)
-    q = np.arange(d * d)
-    off = np.flatnonzero(sign)
-    S = sp.csc_matrix((np.concatenate([np.ones(d * d), 1j * sign[off]]),
-                       (np.concatenate([q, off]), np.concatenate([re, im[off]]))),
-                      shape=(d * d, d * d))
-    return S, (sp.diags(np.where(sign == 0, 1.0, 0.5)) @ S.conj().T).tocsc()
-
-
 def _real_sectors(model: ModelSpec) -> list:
     """The real sectors of the Liouvillian L of ``model``, the one split of
     L that every route uses, as (flat positions, real block in CSC) pairs
@@ -434,9 +511,9 @@ def _real_sectors(model: ModelSpec) -> list:
 
     L preserves hermiticity, so its rows rho_nm with n <= m hold all of
     it. Each of their entries L_pq is scattered, by its real and imaginary
-    parts, to the real generator R = S^-1 L S (``_hermitian_basis``) of
-    the whole space: rho_q = x[re[q]] + i s[q] x[im[q]], and (L rho)_p is
-    dx[p]/dt, plus i dx[im[p]]/dt above the diagonal. Every entry of R
+    parts, to the real generator R of the whole space, L in the coordinates
+    of ``_coordinate_pairs``: rho_q = x[re[q]] + i s[q] x[im[q]], and
+    (L rho)_p is dx[p]/dt, plus i dx[im[p]]/dt above the diagonal. Every entry of R
     takes at most two parts, those of rho_q and of its mirror.
     ``fock.sectors`` of R are the sectors: the sets that L is block
     diagonal over, a mirror pair of L's sectors being one set, and each
@@ -471,27 +548,45 @@ def _real_sectors(model: ModelSpec) -> list:
 
 
 def _real_coordinates(rho: np.ndarray) -> np.ndarray:
-    """Flat real coordinates of the hermitian part of rho: S^-1 of
-    ``_hermitian_basis`` on the whole space. ``_densities`` inverts it."""
+    """Flat real coordinates (``_coordinate_pairs``) of the hermitian part
+    of rho: rho_nn, and the halves (rho_nm + rho_mn) / 2 and
+    i (rho_nm - rho_mn) / 2 for n < m, each summed onto +0.0 as a sparse
+    product sums its terms, so that no coordinate is -0.0.
+    ``_densities`` inverts it."""
     d = rho.shape[0]
-    return (_hermitian_basis(d)[1] @ rho.reshape(-1)).real
+    _, im, sign = _coordinate_pairs(d)
+    v = rho.reshape(-1)
+    diag, up = np.flatnonzero(sign == 0), np.flatnonzero(sign > 0)
+    low = im[up]
+    x = np.zeros(d * d)
+    x[diag] += v.real[diag]
+    x[up] += 0.5 * v.real[up] + 0.5 * v.real[low]
+    x[low] += 0.5 * v.imag[up] - 0.5 * v.imag[low]
+    return x
 
 
 def _densities(xs, idx: np.ndarray, d: int):
-    """The hermitian d x d matrices S x of ``_hermitian_basis`` on the whole
-    space, made one at a time, for each real vector x of ``xs`` given at the
-    flat positions ``idx`` and zero elsewhere. S is built once per call.
-    Every entry is one coordinate, or one of them times +-i, so the map is
-    exact."""
-    S = _hermitian_basis(d)[0][:, idx]
-    return ((S @ x).reshape(d, d) for x in xs)
+    """The hermitian d x d matrices rho_q = x[re[q]] + i s[q] x[im[q]] of
+    ``_coordinate_pairs``, made one at a time, for each real vector x of
+    ``xs`` given at the flat positions ``idx`` and zero elsewhere. Every
+    entry is one coordinate, or one of them times +-1, summed onto +0.0, so
+    the map is exact and no part of an entry is -0.0."""
+    re, im, sign = _coordinate_pairs(d)
+    for x in xs:
+        full = np.zeros(d * d)
+        full[idx] = x
+        rho = np.zeros(d * d, dtype=complex)
+        rho.real += full[re]
+        rho.imag += sign * full[im]
+        yield rho.reshape(d, d)
 
 
-def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int) -> np.ndarray:
+def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int, *, mirrors=()) -> np.ndarray:
     """The density of the steady state on the real population sector Lr of
     L, at the flat positions ``idx``: the solution of Lr with the row of
     rho_00 replaced by Tr(rho) = 1, solved after its check in the sector's
-    one ladder walk (``_solve_sector``; see the module docstring).
+    one ladder walk (``_solve_sector``; see the module docstring), which
+    also walks the sector's ``mirrors``.
 
     The trace functional is a left null vector of Lr and is nonzero on
     rho_00's row, so that system is nonsingular exactly when the null space
@@ -501,7 +596,7 @@ def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int) -> np.ndarray:
     A = sp.vstack([trace_row, Lr[1:]], format="csc")
     rhs = np.zeros(len(idx))
     rhs[0] = 1.0
-    _, x = _solve_sector(A, [_check_system(len(idx)), (rhs, 1e-13)], idx, d)
+    _, x = _solve_sector(A, [_check_system(len(idx)), (rhs, 1e-13)], idx, d, mirrors=mirrors)
     rho, = _densities([x], idx, d)
     return rho
 
@@ -512,11 +607,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _called(job):
-    """A finished Future holding ``job()``'s result or its exception."""
+def _called(job, future=None):
+    """``future``, or a new Future, finished with ``job()``'s result or its
+    exception."""
     from concurrent.futures import Future
 
-    future = Future()
+    future = Future() if future is None else future
     try:
         future.set_result(job())
     except Exception as exc:
@@ -525,23 +621,28 @@ def _called(job):
 
 
 def _run_sectors(jobs: list):
-    """Run ``jobs``, zero-argument callables in sector order whose first is
-    the population solve, and return the first one's result.
+    """Run ``jobs``, one per sector in sector order whose first is the
+    population solve, and return the first one's result. A job is a
+    zero-argument callable, or, for a mirror sector that an earlier sector's
+    walk carries (``_solve_sector``), the Future that walk finishes.
 
     The calling thread runs the population job while a pool of
-    max(1, usable CPUs - 1) workers takes the others from the front of its
-    queue, so no more threads run than there are sectors. The caller then
-    takes back, from the end, every job that has not started and runs it
-    while the workers finish theirs. A failing population job is the lowest
-    sector, so its error is raised; the other outcomes are read in sector
-    order, so when several sectors fail the lowest one's error is raised,
-    whatever the timing.
+    max(1, usable CPUs - 1) workers takes the other callables from the front
+    of its queue, so no more threads run than there are callables. The
+    caller then takes back, from the end, every callable that has not
+    started and runs it while the workers finish theirs. A failing
+    population job is the lowest sector, so its error is raised; the other
+    outcomes, a mirror's Future included, are read in sector order, so when
+    several sectors fail the lowest one's error is raised, whatever the
+    timing and whichever job carried it. A mirror's Future is left unset
+    only when its partner fails, and the partner comes first.
 
     The population job stays on the calling thread on measurement. A plain
     ``ThreadPoolExecutor(min(len(jobs), usable CPUs))`` with an idle caller
     (and no ``_called``) raised the peak RSS of the (13, 15) oscillator's
     benchmark pass from a median of 113.4 to 135.6 MB and left its wall
-    time no better (0.588 -> 0.599 s; 2-core x86_64, 6 alternating pairs).
+    time no better (0.588 -> 0.599 s; 2-core x86_64, 6 alternating pairs,
+    with four jobs, one per real sector, before mirrors were carried).
 
     Each job runs in its own copy of the caller's context (two threads
     cannot enter one Context at once): a pool worker starts from a fresh
@@ -551,10 +652,11 @@ def _run_sectors(jobs: list):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs[1:]]
+        futures = [pool.submit(contextvars.copy_context().run, job) if callable(job) else job
+                   for job in jobs[1:]]
         result = jobs[0]()
         for k in reversed(range(len(futures))):
-            if futures[k].cancel():
+            if callable(jobs[k + 1]) and futures[k].cancel():
                 futures[k] = _called(jobs[k + 1])
     for future in futures:
         future.result()
@@ -589,20 +691,33 @@ def steady_state(model: ModelSpec) -> QuantumState:
 
     L is block diagonal over its real sectors (``_real_sectors``). They
     are solved and shown nonsingular in float64 by one ladder walk per
-    sector, check first, as the module docstring sets out; when several
-    sectors fail, the one with the lowest first position is named. L itself
-    is not held while they are solved: the residual L(rho) is measured in
-    operator form (``_lindblad_action``), on the density returned.
+    sector, check first, a mirror sector's carried by its partner's and
+    tried first under the partner's factor, as the module docstring sets
+    out; when several sectors fail, the one with the lowest first position
+    is named. L itself is not held while they are solved: the residual
+    L(rho) is measured in operator form (``_lindblad_action``), on the
+    density returned.
     """
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
+    from concurrent.futures import Future
+
     d = model.space.total_dim
     # ordered by first position, so real[0] holds rho_00
     real = _real_sectors(model)
-    rho = _run_sectors(
-        [functools.partial(_steady_ilu, real[0][1], real[0][0], d)]
-        + [functools.partial(_solve_sector, A, [_check_system(len(idx))], idx, d)
-           for idx, A in real[1:]])
+    walks = [functools.partial(_steady_ilu, real[0][1], real[0][0], d)] + [
+        functools.partial(_solve_sector, A, [_check_system(len(idx))], idx, d)
+        for idx, A in real[1:]]
+    # a mirror's walk is carried by its partner's, which finishes its Future
+    carried = [[] for _ in real]
+    for j, partner in enumerate(_mirror_partners(real, d)):
+        if partner is not None:
+            k, positions = partner
+            outcome = Future()
+            carried[k].append((walks[j], positions, outcome))
+            walks[j] = outcome
+    rho = _run_sectors([functools.partial(walk, mirrors=mirrors) if mirrors else walk
+                        for walk, mirrors in zip(walks, carried)])
 
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:

@@ -388,13 +388,14 @@ def _traceless_null_vector():
 
 def _sector_systems(model, monkeypatch):
     """(A, rhs, rtol) of every system the ladder walks of ``steady_state``
-    solve, recorded as the walks start; a failing walk's error is dropped."""
+    solve, the walks of mirror sectors included, recorded as the walks
+    start; a failing walk's error is dropped."""
     real_solve_sector = evolve._solve_sector
     systems = []
 
-    def recording(A, sector_systems, idx, d):
+    def recording(A, sector_systems, idx, d, **walk):
         systems.extend((A, rhs, rtol) for rhs, rtol in sector_systems)
-        return real_solve_sector(A, sector_systems, idx, d)
+        return real_solve_sector(A, sector_systems, idx, d, **walk)
 
     with monkeypatch.context() as patch:
         patch.setattr(evolve, "_solve_sector", recording)
@@ -429,6 +430,14 @@ def _recording_spilu(monkeypatch, failing=()):
 
     monkeypatch.setattr(evolve.spla, "spilu", spilu)
     return rungs
+
+
+def _mirror_pairs(model):
+    """The number of real sectors of ``model`` whose walk carries a mirror
+    sector's (``evolve._mirror_partners``)."""
+    real = evolve._real_sectors(model)
+    partners = evolve._mirror_partners(real, model.space.total_dim)
+    return len({partner[0] for partner in partners if partner is not None})
 
 
 def _random_damped(dims, seed, fill=0.05):
@@ -630,15 +639,18 @@ class TestSteadyState:
         calls = []
         real_solve_sector = evolve._solve_sector
 
-        def counting(A, systems, idx, d):
+        def counting(A, systems, idx, d, **walk):
             calls.append(A.dtype)
-            return real_solve_sector(A, systems, idx, d)
+            return real_solve_sector(A, systems, idx, d, **walk)
 
         monkeypatch.setattr(evolve, "_solve_sector", counting)
         evolve.steady_state(model)
         # one ladder walk per mirror pair, the population sector's included,
-        # all real
+        # all real; H is not i times a real matrix, so no real sector is
+        # another's mirror
         assert calls == [np.float64] * 6
+        real = evolve._real_sectors(model)
+        assert evolve._mirror_partners(real, model.space.total_dim) == [None] * 6
 
     def test_failed_population_check_raises(self, monkeypatch):
         # the population sector's trace-row system must pass the check that
@@ -709,12 +721,15 @@ class TestSteadyState:
         # with the first rung's factorization made to fail, every sector is
         # solved on the second, and the steady state still matches the
         # reference: the dense one at (8, 6), and at (12, 8), where a dense
-        # eig of each sector takes ~20 s, the unpatched route's
+        # eig of each sector takes ~20 s, the unpatched route's. Each mirror
+        # sector's check converges under its partner's second-rung factor
+        # within the first rung's budget, so only the two partners factor
         model = _dpo(dims)
         expected = _steady(model, reference)
         served = _recording_spilu(monkeypatch, failing=(evolve.ILU_LADDER[0],))
         rho = _steady(model, "auto")
-        assert served == [evolve.ILU_LADDER[1]] * len(evolve._real_sectors(model))
+        assert _mirror_pairs(model) == 2
+        assert served == [evolve.ILU_LADDER[1]] * 2
         assert np.abs(rho - expected).max() < 1e-12
 
     def test_ladder_falls_back_on_exactly_singular_first_rung(self):
@@ -815,11 +830,12 @@ class TestSteadyState:
 
         monkeypatch.setattr(evolve, "_gmres", gmres)
         evolve.steady_state(model)
-        # the population sector, the Im half of its set and both halves of
-        # the odd-parity set each factor on the first rung; GMRES runs the
+        # the population sector and the Re half of the odd-parity set each
+        # factor on the first rung, and their mirrors, the Im halves of the
+        # two sets, are checked under those factors; GMRES runs the
         # population solve and the four sectors' checks, that of the
         # population system under the solve's preconditioner
-        assert rungs == [evolve.ILU_LADDER[0]] * 4
+        assert rungs == [evolve.ILU_LADDER[0]] * 2
         assert len(solves) == 5
 
     def test_every_rung_factors_population_system(self, monkeypatch):
@@ -856,8 +872,8 @@ class TestSteadyState:
         real_steady_ilu = evolve._steady_ilu
         runs = []
 
-        def recording(*args):
-            runs.append(real_steady_ilu(*args))
+        def recording(*args, **walk):
+            runs.append(real_steady_ilu(*args, **walk))
             return runs[-1]
 
         monkeypatch.setattr(evolve, "_steady_ilu", recording)
@@ -940,6 +956,23 @@ class TestSteadyState:
             _steady(model, method)
 
 
+def _hermitian_basis(d):
+    """Sparse maps S and S^-1 between vec(rho) and the real coordinates x
+    of ``evolve._coordinate_pairs``: (S x)_q = x[re[q]] + i s[q] x[im[q]],
+    so S maps every real vector to a hermitian matrix. Its entries are 1
+    and +-i; S^-1 = diag(w) S^H, with w = 1 on rho_nn's and 1/2 elsewhere,
+    has entries 1 and +-1/2 and +-i/2, so both products are exact. The
+    slow reference for ``evolve._densities`` and ``evolve._real_coordinates``,
+    which gather through the coordinate pairs instead."""
+    re, im, sign = evolve._coordinate_pairs(d)
+    q = np.arange(d * d)
+    off = np.flatnonzero(sign)
+    S = scipy.sparse.csc_matrix((np.concatenate([np.ones(d * d), 1j * sign[off]]),
+                                 (np.concatenate([q, off]), np.concatenate([re, im[off]]))),
+                                shape=(d * d, d * d))
+    return S, (scipy.sparse.diags(np.where(sign == 0, 1.0, 0.5)) @ S.conj().T).tocsc()
+
+
 def _reference_real_sectors(model):
     """Slow reference for ``evolve._real_sectors``: the two-level split it
     replaces. ``fock.sectors`` of |L| + T, T the map rho -> rho^T, gives the
@@ -949,7 +982,7 @@ def _reference_real_sectors(model):
     L = evolve.liouvillian(model)
     k = np.arange(d * d)
     T = scipy.sparse.csr_matrix((np.ones(d * d), (k, (k % d) * d + k // d)), shape=(d * d, d * d))
-    S, S_inv = evolve._hermitian_basis(d)
+    S, S_inv = _hermitian_basis(d)
     pairs = []
     for block in fock.sectors(abs(L) + T):
         # S couples only the two entries of a mirror pair, so its block on a
@@ -996,8 +1029,31 @@ class TestRealSectors:
 
     def test_basis_maps_are_exact_inverses(self):
         d = _dpo((8, 6)).space.total_dim
-        S, S_inv = evolve._hermitian_basis(d)
+        S, S_inv = _hermitian_basis(d)
         assert abs(S_inv @ S - scipy.sparse.identity(d * d)).max() == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 48])
+    def test_coordinate_maps_match_basis_products_bit_for_bit(self, d):
+        # the gathers of _densities and _real_coordinates give the bits of
+        # the sparse products S x and S^-1 vec(rho), signed zeros included:
+        # every part that is zero is +0.0 on both sides, though x and rho
+        # hold -0.0 entries
+        S, S_inv = _hermitian_basis(d)
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            idx = np.sort(rng.choice(d * d, size=rng.integers(1, d * d + 1), replace=False))
+            x = rng.standard_normal(len(idx)) * (rng.random(len(idx)) < 0.7)
+            x[rng.random(len(idx)) < 0.3] = -0.0
+            rho, = evolve._densities([x], idx, d)
+            expected = (S[:, idx] @ x).reshape(d, d)
+            assert rho.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            m.real[rng.random((d, d)) < 0.3] = -0.0
+            m.imag[rng.random((d, d)) < 0.3] = -0.0
+            for matrix in (m, m + m.conj().T, rho):
+                expected = (S_inv @ matrix.reshape(-1)).real
+                assert (evolve._real_coordinates(matrix).view(np.uint64).tobytes()
+                        == expected.view(np.uint64).tobytes())
 
 
 class TestFallbackRung:
@@ -1018,12 +1074,14 @@ class TestFallbackRung:
 
     def test_dpo_at_three_times_threshold_served_by_last_rung(self, monkeypatch):
         # the first rung serves every sector of this oscillator; with every
-        # rung before the last made to fail, the last rung serves them all
+        # rung before the last made to fail, the last rung serves them all:
+        # the last rung's factor of each partner serves its mirror's check too
         model = _dpo_at((12, 8), 3.0)
         expected = evolve.steady_state(model).data
         rungs = _recording_spilu(monkeypatch, failing=evolve.ILU_LADDER[:-1])
         rho = evolve.steady_state(model).data
-        assert rungs == [evolve.ILU_LADDER[-1]] * len(evolve._real_sectors(model))
+        assert _mirror_pairs(model) == 2
+        assert rungs == [evolve.ILU_LADDER[-1]] * 2
         assert np.abs(rho - expected).max() < 1e-10
 
 
@@ -1041,54 +1099,98 @@ class TestLadderBudget:
         assert residual == np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
         assert evolve._gmres(A, np.copy, rhs, 1e-12, cycles=3)[1] == 300
 
+    def test_borrowed_try_gives_up_once_its_budget_cannot_reach_rtol(self):
+        # the borrowed try's GMRES, on unpreconditioned diagonal systems. On
+        # the spectrum 1..400 one cycle leaves 1.2e-5, which a second cycle
+        # as good would take below 1e-8, so it runs on and returns _gmres's
+        # bits; on 1..1e4 one cycle leaves 1.3e-2, and it gives up there,
+        # where _gmres would spend the whole budget (see the test above)
+        rhs = np.ones(2000)
+        cycles = evolve.ILU_LADDER[0][2]
+        A = scipy.sparse.diags(np.linspace(1.0, 400.0, 2000)).tocsc()
+        x, iters, residual = evolve._promising_gmres(A, np.copy, rhs, 1e-8, cycles)
+        reference = evolve._gmres(A, np.copy, rhs, 1e-8, cycles)
+        assert 100 < iters == reference[1] and residual == reference[2] <= 1e-8
+        assert np.array_equal(x, reference[0])
+        A = scipy.sparse.diags(np.linspace(1.0, 1e4, 2000)).tocsc()
+        _, iters, residual = evolve._promising_gmres(A, np.copy, rhs, 1e-8, cycles)
+        assert iters == 100 and residual == evolve._gmres(A, np.copy, rhs, 1e-8, 1)[2]
+        assert residual ** cycles > 1e-8
+
     def test_failed_first_rung_costs_its_budget_then_walks_on_from_the_second(self, monkeypatch):
         # DPO (10, 8) at four times threshold: under the first rung's factor
         # the population sector's check does not converge within the rung's
-        # budget. The walk of that sector then returns what a walk started at
-        # the second rung returns, to the bit. The walks of steady_state are
-        # recorded, then run again one at a time
+        # budget, and the second rung serves it. Its mirror, the Im half of
+        # the population set, does not converge under that borrowed factor
+        # either: one cycle of 100 iterations leaves a residual too high for
+        # the rest of the first rung's budget to reach 1e-8 at that rate, so
+        # the try gives up, and the mirror walks its own ladder from the
+        # first rung. Each such walk returns what a walk started at its next
+        # step returns, to the bit: the population sector's a walk from the
+        # second rung, the mirror's a walk with nothing borrowed. The walks
+        # of steady_state are recorded, then run again one at a time, each
+        # without the mirrors it carried
         walks = []
         real_solve_sector, real_gmres = evolve._solve_sector, evolve._gmres
 
-        def recording(*walk):
-            walks.append(walk)
-            return real_solve_sector(*walk)
+        def recording(*walk, **kwargs):
+            walks.append((walk, kwargs.get("borrowed")))
+            return real_solve_sector(*walk, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(evolve, "_solve_sector", recording)
             evolve.steady_state(_dpo_at((10, 8), 4.0))
         runs = []
+        starts = []
 
         def gmres(A, solve, rhs, rtol, cycles):
             out = real_gmres(A, solve, rhs, rtol, cycles)
-            runs.append((cycles, out[1], out[2] <= rtol))
+            # a call on a system's own right-hand side starts that system;
+            # the borrowed try's second call runs on the first's residual
+            runs.append((solve.__name__ == "mirrored", any(rhs is b for b in starts),
+                         cycles, out[1], out[2] <= rtol))
             return out
 
         monkeypatch.setattr(evolve, "_gmres", gmres)
         budget = evolve.ILU_LADDER[0][2]
         assert all(cycles != budget for *_, cycles in evolve.ILU_LADDER[1:])
         failed = []
-        for walk in walks:
+        for walk, borrowed in walks:
             runs.clear()
-            xs = evolve._solve_sector(*walk)
-            first = [(iters, converged) for cycles, iters, converged in runs if cycles == budget]
-            assert all(iters <= 100 * budget for iters, _ in first)
-            if all(converged for _, converged in first):
+            starts[:] = [rhs for rhs, _ in walk[1]]
+            xs = evolve._solve_sector(*walk, borrowed=borrowed)
+            # the first step: the borrowed try, or else the first rung
+            first = [(start, cycles, iters, converged)
+                     for lent, start, cycles, iters, converged in runs
+                     if lent or borrowed is None and cycles == budget]
+            # each system's iterations and whether its last call converged
+            systems = []
+            for start, _, iters, converged in first:
+                if start:
+                    systems.append([0, False])
+                systems[-1][0] += iters
+                systems[-1][1] = converged
+            assert systems and all(iters <= 100 * budget for iters, _ in systems)
+            if all(converged for _, converged in systems):
                 continue
-            # the population sector's walk: its check, then its solve
-            failed.append(len(walk[1]))
-            assert first[-1] == (100 * budget, False)
+            failed.append((len(walk[1]), borrowed is not None))
+            # a borrowed try that gives up makes one GMRES call
+            assert first == ([(True, 1, 100, False)] if borrowed else
+                             [(True, budget, 100 * budget, False)])
             with monkeypatch.context() as patch:
-                patch.setattr(evolve, "ILU_LADDER", evolve.ILU_LADDER[1:])
+                if borrowed is None:
+                    patch.setattr(evolve, "ILU_LADDER", evolve.ILU_LADDER[1:])
                 restarted = evolve._solve_sector(*walk)
             assert all(np.array_equal(x, y) for x, y in zip(xs, restarted, strict=True))
-        assert failed == [2]
+        # the population sector's walk, its check then its solve, and its
+        # mirror's, a check alone
+        assert failed == [(2, False), (1, True)]
 
 
 class TestLadderSweep:
     """A slice of the DPO threshold sweep that the ladder rests on: below
-    threshold the first rung serves every sector, and above it no sector
-    needs the last rung."""
+    threshold the first rung serves every sector, each mirror under its
+    partner's factor, and above it no sector needs the last rung."""
 
     @pytest.mark.parametrize("ratio", [0.05, 0.9, 3.0])
     @pytest.mark.parametrize("dims", [(6, 4), (8, 6), (12, 8)],
@@ -1098,10 +1200,155 @@ class TestLadderSweep:
         rungs = _recording_spilu(monkeypatch)
         rho = _steady(model, "auto")
         if ratio < 1.0:
-            assert rungs == [evolve.ILU_LADDER[0]] * len(evolve._real_sectors(model))
+            # one first-rung factor per mirror pair: each Im half's check
+            # converges under the factor of its Re half
+            assert _mirror_pairs(model) == 2
+            assert rungs == [evolve.ILU_LADDER[0]] * 2
         else:
             assert evolve.ILU_LADDER[-1] not in rungs
         # a dense eig of each (12, 8) sector takes ~20 s, and of each (8, 6)
         # one ~0.3 s; test_ilu_matches_dense covers (8, 6) below threshold
         if dims == (6, 4) or dims == (8, 6) and ratio > 1.0:
             assert np.abs(rho - _steady(model, "dense")).max() < 1e-10
+
+
+class TestMirrorPairs:
+    """A mirror sector, the Im half of a set that splits, is checked under
+    its partner's serving factor, mapped through rho -> rho^T, and walks
+    its own ladder only when that borrowed try misses."""
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.9, 3.0])
+    @pytest.mark.parametrize("dims", [(6, 4), (8, 6), (12, 8)],
+                             ids=["dpo-6-4", "dpo-8-6", "dpo-12-8"])
+    def test_shared_factors_leave_steady_state_bit_identical(self, dims, ratio, monkeypatch):
+        # the unshared route, every sector walking its own ladder, is the
+        # reference; at ratio 3 the population set's Im half misses under
+        # the borrowed factor and walks its own ladder
+        model = _dpo_at(dims, ratio)
+        shared = evolve.steady_state(model).data
+        monkeypatch.setattr(evolve, "_mirror_partners", lambda real, d: [None] * len(real))
+        rungs = _recording_spilu(monkeypatch)
+        unshared = evolve.steady_state(model).data
+        assert len(rungs) == len(evolve._real_sectors(model)) == 4
+        assert shared.tobytes() == unshared.tobytes()
+
+    def test_mirror_halves_differ_from_their_partners_in_sign_alone(self):
+        # why the factor is shared and both checks stay: under the mirror
+        # map the odd set's Im half has its Re half's pattern and |entries|,
+        # bit for bit, but 360 of its 4768 entries have the other sign, so
+        # one half's check does not prove the other nonsingular
+        model = _dpo((8, 6))
+        real = evolve._real_sectors(model)
+        partners = evolve._mirror_partners(real, model.space.total_dim)
+        assert [None if p is None else p[0] for p in partners] == [None, None, 0, 1]
+        positions = partners[3][1]
+        im_half, mapped = real[3][1], real[1][1][positions][:, positions]
+        assert len(positions) == real[1][1].shape[0]
+        assert mapped.nnz == im_half.nnz and (abs(mapped) != abs(im_half)).nnz == 0
+        assert (mapped != im_half).nnz == 360
+
+    @pytest.mark.parametrize("failing", [(), "first"], ids=["served", "first-rung-fails"])
+    def test_missed_borrowed_check_walks_from_first_rung(self, failing, monkeypatch):
+        # every check under a borrowed factor is made to miss, its first
+        # cycle leaving the residual at 1. It runs its first GMRES cycle
+        # alone within the first rung's budget, also when the partner was
+        # served by the second rung, at 400 cycles, and a residual of 1
+        # ends it after that cycle; then the mirror walks its own ladder
+        # from the first rung, and the steady state does not move
+        model = _dpo((8, 6))
+        failing = evolve.ILU_LADDER[:1] if failing else ()
+        rungs = _recording_spilu(monkeypatch, failing=failing)
+        expected = evolve.steady_state(model).data
+        rungs.clear()
+        real_gmres = evolve._gmres
+        borrowed = []
+
+        def gmres(A, solve, rhs, rtol, cycles):
+            if solve.__name__ == "mirrored":
+                borrowed.append((A.shape[0], cycles))
+                return np.zeros_like(rhs), 100 * cycles, 1.0
+            return real_gmres(A, solve, rhs, rtol, cycles)
+
+        monkeypatch.setattr(evolve, "_gmres", gmres)
+        rho = evolve.steady_state(model).data
+        assert sorted(borrowed) == [(552, 1), (576, 1)]
+        served = evolve.ILU_LADDER[1] if failing else evolve.ILU_LADDER[0]
+        assert rungs == [served] * 4
+        assert rho.tobytes() == expected.tobytes()
+
+    def test_failing_mirror_lists_borrowed_try_first(self, monkeypatch):
+        # GMRES fails on every system of the population set's Im half, the
+        # one real sector of 552 unknowns, named by its first position
+        # rho[1, 0]; the borrowed try is listed first, then each rung
+        model = _dpo((8, 6))
+        real_gmres = evolve._gmres
+
+        def gmres(A, solve, rhs, rtol, cycles):
+            if len(rhs) == 552:
+                return np.zeros_like(rhs), 0, 1.0
+            return real_gmres(A, solve, rhs, rtol, cycles)
+
+        monkeypatch.setattr(evolve, "_gmres", gmres)
+        with pytest.raises(AmbiguityError, match=r"552 real unknowns from rho\[1, 0\]") as info:
+            evolve.steady_state(model)
+        failures = str(info.value).partition("failed on every rung: ")[2].rstrip(")").split("; ")
+        tried = ["mirror of rho[0, 0]'s factor"] + [f"drop_tol {drop_tol}, fill {fill}"
+                                                    for drop_tol, fill, _ in evolve.ILU_LADDER]
+        assert failures == [f"{name}: GMRES reached residual 1e+00 > 1e-08 after 0 iterations"
+                            for name in tried]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complex_h_has_no_mirrors(self, seed, monkeypatch):
+        # a 30%-fill random H is not i times a real matrix, so no set splits
+        # and no sector borrows: each walks its own ladder, served by one
+        # first-rung factor (a slice of the 256 random models)
+        model = _random_damped((6,), seed, 0.3)
+        real = evolve._real_sectors(model)
+        assert evolve._mirror_partners(real, model.space.total_dim) == [None] * len(real)
+        rungs = _recording_spilu(monkeypatch)
+        rho = _steady(model, "auto")
+        assert rungs == [evolve.ILU_LADDER[0]] * len(real)
+        assert np.abs(rho - _steady(model, "dense")).max() < 1e-10
+
+    def test_many_mirror_pairs_under_thread_stress(self, monkeypatch):
+        # a beam splitter i g (a-dag b - a b-dag) with both modes damped has
+        # six mirror pairs, sectors 6 to 11 mirroring sectors 0 to 5; here
+        # they run on seven pool workers, more than there are cores, with
+        # random delays and a short switch interval. The density is the
+        # one-worker run's, bit for bit. When GMRES fails on every sector
+        # from the fourth on, the fourth is named, though the population job
+        # and two others carry failing mirrors, 6 to 8
+        space = fock.make_space([4, 3])
+        a, b = fock.annihilation(space, 0), fock.annihilation(space, 1)
+        model = models.ModelSpec(space, 1j * 0.7 * (a.dag() @ b - a @ b.dag()),
+                                 dissipators=((a, 0.5), (b, 0.8)))
+        real = evolve._real_sectors(model)
+        partners = evolve._mirror_partners(real, space.total_dim)
+        assert [None if p is None else p[0] for p in partners] == [None] * 6 + [1, 2, 0, 3, 4, 5]
+        monkeypatch.setattr(evolve, "_real_sectors", lambda _: real)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        expected = evolve.steady_state(model).data
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        real_gmres = evolve._gmres
+        delays = np.random.default_rng(2)
+        failing = []
+
+        def gmres(A, solve, rhs, rtol, cycles):
+            time.sleep(delays.uniform(0.0, 0.002))
+            if any(A is block for _, block in failing):
+                return np.zeros_like(rhs), 0, 1.0
+            return real_gmres(A, solve, rhs, rtol, cycles)
+
+        monkeypatch.setattr(evolve, "_gmres", gmres)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert evolve.steady_state(model).data.tobytes() == expected.tobytes()
+            failing.extend(real[3:])
+            n, m = divmod(int(real[3][0][0]), space.total_dim)
+            for _ in range(3):
+                with pytest.raises(AmbiguityError, match=rf"from rho\[{n}, {m}\]"):
+                    evolve.steady_state(model)
+        finally:
+            sys.setswitchinterval(interval)
