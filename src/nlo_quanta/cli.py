@@ -265,7 +265,8 @@ def run_kerr(p: dict):
                     ("abs_mean", "dimensionless")], point)
     opt = cf.kerr_bs_optimum(abs(p["alpha"]), p["bs_phi"])
     return [table], {"bs_optimum_excess": opt.excess, "bs_mean_n": opt.mean_n,
-                     "bs_r_opt": opt.r_opt, "bs_phi": p["bs_phi"]}
+                     "bs_r_opt": opt.r_opt, "bs_phi": p["bs_phi"],
+                     "bs_validity_warning": opt.validity_warning}
 
 
 def run_oscillator(p: dict):

@@ -32,11 +32,11 @@ Numerical routes
   solve; the first rung on which both converge serves. When H is i times a
   real matrix and the jump operators are real, each set's Im half is the
   mirror of an earlier sector, its partner (``_mirror_partners``): its image
-  under rho -> rho^T is the set's Re half, or lies inside it. The partner's
-  walk carries the mirror's: the mirror's own check runs first under the
-  partner's serving factor, mapped through those positions, for at most the
-  first rung's cycles and none after the first if it leaves the residual
-  too high for the rest of them to reach rtol at its rate
+  under rho -> rho^T is the set's Re half, or lies inside it. A mirror is
+  walked right after its partner, in the same job: its own check runs first
+  under the partner's serving factor, mapped through those positions, for
+  at most the first rung's cycles and none after the first if it leaves the
+  residual too high for the rest of them to reach rtol at its rate
   (``_promising_gmres``), and the mirror walks the ladder itself only if
   that misses. So every real sector keeps its own check, and the parametric
   oscillator factors twice where it would factor four times. The ladder has
@@ -46,15 +46,16 @@ Numerical routes
   raises AmbiguityError naming it and each rung's failure, so a second null
   vector is caught whether or not it has trace, and so is a second sector
   holding populations rho_nn, of which the trace functional is a left null
-  vector. The calling thread walks the population sector while max(1, usable
-  CPUs - 1) workers walk the other sectors that no partner carries
-  (``_run_sectors``). Every ILU factors in the sector's own row-major order
-  of rho, which is already banded (``NATURAL``); minimum degree only adds
-  fill there. The trace row is rho_00's, the first; on DPO (6, 4) to (12, 8)
-  rho_{d-1,d-1}'s, the last, serves as well on every rung, but at (13, 15)
-  not within the first rung's budget. This is the one route;
-  ``_steady_dense``, a dense eig per real sector, is its private slow
-  reference.
+  vector. The calling thread runs the population sector's job while max(1,
+  usable CPUs - 1) workers run the other sectors' (``_run_sectors``); each
+  walk leaves its solutions or its error in its sector's slot, and the
+  lowest failing sector's error is raised. Every ILU factors in the
+  sector's own row-major order of rho, which is already banded
+  (``NATURAL``); minimum degree only adds fill there. The trace row is
+  rho_00's, the first; on DPO (6, 4) to (12, 8) rho_{d-1,d-1}'s, the last,
+  serves as well on every rung, but at (13, 15) not within the first rung's
+  budget. This is the one route; ``_steady_dense``, a dense eig per real
+  sector, is its private slow reference.
 
 No scipy module is loaded with this module. ``sp`` and ``spla`` are
 ``LazyModule`` stand-ins that import ``scipy.sparse`` and
@@ -375,35 +376,30 @@ def _promising_gmres(A: sp.csc_matrix, solve, b: np.ndarray, rtol: float, cycles
 
 
 def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int, *,
-                  borrowed=None, mirrors=()) -> list:
-    """The solutions of A x = rhs for each (rhs, rtol) of ``systems``, on
-    the real sector at the flat positions ``idx``: the one ladder walk of
+                  borrowed=None) -> tuple:
+    """(solutions, solve): the solutions of A x = rhs for each (rhs, rtol)
+    of ``systems``, on the real sector at the flat positions ``idx``, and
+    the ``solve`` of the factor that served them: the one ladder walk of
     the sector. Each rung of ``ILU_LADDER`` factors A once, and ``_gmres``
     runs on the systems in order under that incomplete LU, for at most the
-    rung's cycles each; the solutions of the first rung on which every one
-    converges are returned. A rung that fails leaves nothing to the next,
-    which starts afresh.
+    rung's cycles each; the first rung on which every one converges serves.
+    A rung that fails leaves nothing to the next, which starts afresh.
 
     A is factored in its given order (``permc_spec="NATURAL"``): a sector's
     row-major order of rho is banded, and minimum degree only adds fill.
-    The order also keeps the trace row first, where ``_steady_ilu`` puts
+    The order also keeps the trace row first, where ``steady_state`` puts
     it. A sector that no rung solves is taken to be singular: it holds a
     second null vector of L, and AmbiguityError names it and says how each
     rung failed.
 
-    ``mirrors`` are the walks this one carries: for each sector whose
-    image under rho -> rho^T lies in this one (``_mirror_partners``), its
-    walk, a callable taking ``borrowed``, the positions of its image here,
-    and a Future. Once a rung serves, each such walk runs with ``borrowed``
-    set to that rung's factor mapped through those positions (``_mirrored``)
-    and named "mirror of rho[n, m]'s factor" after this sector, and its
-    result or error goes to its Future. A walk given ``borrowed`` first
+    ``borrowed`` is (solve, name), a mirror sector's partner's serving
+    factor mapped through rho -> rho^T (``_mirrored``). The walk then first
     runs its systems under it (``_promising_gmres``) for at most the first
-    rung's cycles, whatever rung served the partner, and walks the ladder
-    from the first rung only if that misses; its AmbiguityError then lists
-    the borrowed try before the rungs.
+    rung's cycles, whatever rung served the partner, and returns that solve
+    if they converge; it walks the ladder from the first rung only if that
+    misses, and its AmbiguityError then lists the borrowed try, by name,
+    before the rungs.
     """
-    row, col = divmod(int(idx[0]), d)
     failures = []
 
     def solved(solve, cycles, rung, gmres=_gmres):
@@ -421,7 +417,7 @@ def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int, *,
         solve, name = borrowed
         xs = solved(solve, ILU_LADDER[0][2], name, _promising_gmres)
         if xs is not None:
-            return xs
+            return xs, solve
     for drop_tol, fill, cycles in ILU_LADDER:
         rung = f"drop_tol {drop_tol}, fill {fill}"
         try:
@@ -432,11 +428,8 @@ def _solve_sector(A: sp.csc_matrix, systems: list, idx: np.ndarray, d: int, *,
             continue
         xs = solved(ilu.solve, cycles, rung)
         if xs is not None:
-            for walk, positions, outcome in mirrors:
-                lent = (_mirrored(ilu.solve, positions, len(idx)),
-                        f"mirror of rho[{row}, {col}]'s factor")
-                _called(functools.partial(walk, borrowed=lent), outcome)
-            return xs
+            return xs, ilu.solve
+    row, col = divmod(int(idx[0]), d)
     raise AmbiguityError(
         f"Liouvillian sector of {len(idx)} real unknowns from rho[{row}, {col}] looks singular, "
         f"so the null space is degenerate (preconditioned solve failed on every rung: "
@@ -581,68 +574,29 @@ def _densities(xs, idx: np.ndarray, d: int):
         yield rho.reshape(d, d)
 
 
-def _steady_ilu(Lr: sp.csc_matrix, idx: np.ndarray, d: int, *, mirrors=()) -> np.ndarray:
-    """The density of the steady state on the real population sector Lr of
-    L, at the flat positions ``idx``: the solution of Lr with the row of
-    rho_00 replaced by Tr(rho) = 1, solved after its check in the sector's
-    one ladder walk (``_solve_sector``; see the module docstring), which
-    also walks the sector's ``mirrors``.
-
-    The trace functional is a left null vector of Lr and is nonzero on
-    rho_00's row, so that system is nonsingular exactly when the null space
-    of Lr is one-dimensional and spanned by a state of nonzero trace.
-    """
-    trace_row = sp.csr_matrix((idx // d == idx % d).astype(float))
-    A = sp.vstack([trace_row, Lr[1:]], format="csc")
-    rhs = np.zeros(len(idx))
-    rhs[0] = 1.0
-    _, x = _solve_sector(A, [_check_system(len(idx)), (rhs, 1e-13)], idx, d, mirrors=mirrors)
-    rho, = _densities([x], idx, d)
-    return rho
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _called(job, future=None):
-    """``future``, or a new Future, finished with ``job()``'s result or its
-    exception."""
-    from concurrent.futures import Future
+def _run_sectors(jobs: list) -> None:
+    """Run ``jobs``, zero-argument callables, the first of which walks the
+    population sector.
 
-    future = Future() if future is None else future
-    try:
-        future.set_result(job())
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
-def _run_sectors(jobs: list):
-    """Run ``jobs``, one per sector in sector order whose first is the
-    population solve, and return the first one's result. A job is a
-    zero-argument callable, or, for a mirror sector that an earlier sector's
-    walk carries (``_solve_sector``), the Future that walk finishes.
-
-    The calling thread runs the population job while a pool of
-    max(1, usable CPUs - 1) workers takes the other callables from the front
-    of its queue, so no more threads run than there are callables. The
-    caller then takes back, from the end, every callable that has not
-    started and runs it while the workers finish theirs. A failing
-    population job is the lowest sector, so its error is raised; the other
-    outcomes, a mirror's Future included, are read in sector order, so when
-    several sectors fail the lowest one's error is raised, whatever the
-    timing and whichever job carried it. A mirror's Future is left unset
-    only when its partner fails, and the partner comes first.
+    The calling thread runs the first job while a pool of max(1, usable
+    CPUs - 1) workers takes the others from the front of its queue, so no
+    more threads run than there are jobs. The caller then takes back, from
+    the end, every job that has not started and runs it while the workers
+    finish theirs. A job keeps its own errors (``steady_state``'s put each
+    in its sector's slot); anything a job lets through is raised here.
 
     The population job stays on the calling thread on measurement. A plain
     ``ThreadPoolExecutor(min(len(jobs), usable CPUs))`` with an idle caller
-    (and no ``_called``) raised the peak RSS of the (13, 15) oscillator's
-    benchmark pass from a median of 113.4 to 135.6 MB and left its wall
-    time no better (0.588 -> 0.599 s; 2-core x86_64, 6 alternating pairs,
-    with four jobs, one per real sector, before mirrors were carried).
+    raised the peak RSS of the (13, 15) oscillator's benchmark pass from a
+    median of 113.4 to 135.6 MB and left its wall time no better (0.588 ->
+    0.599 s; 2-core x86_64, 6 alternating pairs, with four jobs, one per
+    real sector, before mirrors shared their partners' factors).
 
     Each job runs in its own copy of the caller's context (two threads
     cannot enter one Context at once): a pool worker starts from a fresh
@@ -651,16 +605,16 @@ def _run_sectors(jobs: list):
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    jobs = [functools.partial(contextvars.copy_context().run, job) for job in jobs]
     with ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, job) if callable(job) else job
-                   for job in jobs[1:]]
-        result = jobs[0]()
-        for k in reversed(range(len(futures))):
-            if callable(jobs[k + 1]) and futures[k].cancel():
-                futures[k] = _called(jobs[k + 1])
+        futures = [pool.submit(job) for job in jobs[1:]]
+        jobs[0]()
+        for job, future in zip(jobs[:0:-1], futures[::-1]):
+            if future.cancel():
+                job()
     for future in futures:
-        future.result()
-    return result
+        if not future.cancelled():
+            future.result()
 
 
 def _steady_dense(model: ModelSpec) -> np.ndarray:
@@ -691,33 +645,60 @@ def steady_state(model: ModelSpec) -> QuantumState:
 
     L is block diagonal over its real sectors (``_real_sectors``). They
     are solved and shown nonsingular in float64 by one ladder walk per
-    sector, check first, a mirror sector's carried by its partner's and
-    tried first under the partner's factor, as the module docstring sets
-    out; when several sectors fail, the one with the lowest first position
-    is named. L itself is not held while they are solved: the residual
-    L(rho) is measured in operator form (``_lindblad_action``), on the
-    density returned.
+    sector, check first (``_solve_sector``), as the module docstring sets
+    out. Each sector that no partner carries is one job of
+    ``_run_sectors``: it walks that sector, then, if a rung served it, each
+    of its mirrors (``_mirror_partners``) with its serving factor mapped
+    through the mirror's positions (``_mirrored``) as the borrowed try.
+    Each walk puts its solutions, or any Exception it raised, in its
+    sector's slot, and once every job is done the first error in sector
+    order is raised: when several sectors fail, the one with the lowest
+    first position is named, whatever the timing, and a mirror whose
+    partner fails is never walked. L itself is not held while the sectors
+    are solved: the residual L(rho) is measured in operator form
+    (``_lindblad_action``), on the density returned.
     """
     if not any(g > 0 for _, g in model.dissipators):
         raise ContractError("steady_state needs at least one dissipator with positive rate")
-    from concurrent.futures import Future
-
     d = model.space.total_dim
     # ordered by first position, so real[0] holds rho_00
     real = _real_sectors(model)
-    walks = [functools.partial(_steady_ilu, real[0][1], real[0][0], d)] + [
-        functools.partial(_solve_sector, A, [_check_system(len(idx))], idx, d)
-        for idx, A in real[1:]]
-    # a mirror's walk is carried by its partner's, which finishes its Future
-    carried = [[] for _ in real]
-    for j, partner in enumerate(_mirror_partners(real, d)):
-        if partner is not None:
-            k, positions = partner
-            outcome = Future()
-            carried[k].append((walks[j], positions, outcome))
-            walks[j] = outcome
-    rho = _run_sectors([functools.partial(walk, mirrors=mirrors) if mirrors else walk
-                        for walk, mirrors in zip(walks, carried)])
+    partners = _mirror_partners(real, d)
+    # The population sector's system is Lr with the row of rho_00 replaced
+    # by Tr(rho) = 1. The trace functional is a left null vector of Lr and
+    # is nonzero on rho_00's row, so that system is nonsingular exactly when
+    # the null space of Lr is one-dimensional and spanned by a state of
+    # nonzero trace. Every other sector's system is the sector itself.
+    idx, Lr = real[0]
+    rhs = np.zeros(len(idx))
+    rhs[0] = 1.0
+    trace_row = sp.csr_matrix((idx // d == idx % d).astype(float))
+    sectors = [(sp.vstack([trace_row, Lr[1:]], format="csc"),
+                [_check_system(len(idx)), (rhs, 1e-13)], idx)]
+    sectors += [(A, [_check_system(len(idx))], idx) for idx, A in real[1:]]
+    outcomes = [None] * len(sectors)
+
+    def walk(k, borrowed=None):
+        # every Exception, so that the lowest failing sector's is raised
+        try:
+            outcomes[k], solve = _solve_sector(*sectors[k], d, borrowed=borrowed)
+            return solve
+        except Exception as exc:
+            outcomes[k] = exc
+
+    def job(k):
+        solve, idx = walk(k), sectors[k][2]
+        name = "mirror of rho[{}, {}]'s factor".format(*divmod(int(idx[0]), d))
+        for j, partner in enumerate(partners):
+            if solve is not None and partner is not None and partner[0] == k:
+                walk(j, (_mirrored(solve, partner[1], len(idx)), name))
+
+    _run_sectors([functools.partial(job, k) for k, partner in enumerate(partners)
+                  if partner is None])
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    rho, = _densities([outcomes[0][1]], sectors[0][2], d)
 
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:

@@ -243,6 +243,21 @@ class TestConfigValidation:
         summary = json.loads((out / "kerr_meta.json").read_text())["summary"]
         assert summary["bs_optimum_excess"] == 0.0 and summary["bs_r_opt"] == 0.0
 
+    @pytest.mark.parametrize("config, warned", [("[kerr]\nbs_phi = 2\nalpha = 2\n", True),
+                                                ("[kerr]\n", False)], ids=["phi-2", "default"])
+    def test_kerr_validity_warning_in_meta(self, tmp_path, config, warned):
+        # the beam-splitter closed form holds for phi << 1 with |alpha| phi
+        # of order one; its warning reaches kerr_meta.json, null when valid
+        cfg = tmp_path / "kerr.ini"
+        cfg.write_text(config)
+        out = tmp_path / "o"
+        assert cli.main(["kerr", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        warning = json.loads((out / "kerr_meta.json").read_text())["summary"]["bs_validity_warning"]
+        if warned:
+            assert "|alpha|*phi = 4.00 > 3.0" in warning
+        else:
+            assert warning is None
+
     @pytest.mark.parametrize("key, value", [("periods", "200"), ("grid_points", "16384")])
     def test_soliton_guided_steps_bounded(self, tmp_path, capsys, monkeypatch, key, value):
         # the guided step count grows as periods x grid_points^2; one over

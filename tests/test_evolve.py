@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import time
 import weakref
 
@@ -393,9 +394,9 @@ def _sector_systems(model, monkeypatch):
     real_solve_sector = evolve._solve_sector
     systems = []
 
-    def recording(A, sector_systems, idx, d, **walk):
+    def recording(A, sector_systems, idx, d, *, borrowed=None):
         systems.extend((A, rhs, rtol) for rhs, rtol in sector_systems)
-        return real_solve_sector(A, sector_systems, idx, d, **walk)
+        return real_solve_sector(A, sector_systems, idx, d, borrowed=borrowed)
 
     with monkeypatch.context() as patch:
         patch.setattr(evolve, "_solve_sector", recording)
@@ -404,6 +405,22 @@ def _sector_systems(model, monkeypatch):
         except AmbiguityError:
             pass
     return systems
+
+
+def _population_densities(monkeypatch):
+    """Patch ``evolve._densities`` to record each density that
+    ``steady_state`` makes of its population sector's trace-row solve, as
+    it comes, before its trace is normalized; returns the record."""
+    real_densities = evolve._densities
+    made = []
+
+    def recording(xs, idx, d):
+        for rho in real_densities(xs, idx, d):
+            made.append(rho)
+            yield rho
+
+    monkeypatch.setattr(evolve, "_densities", recording)
+    return made
 
 
 def _rung_ilu(A, rung):
@@ -433,8 +450,8 @@ def _recording_spilu(monkeypatch, failing=()):
 
 
 def _mirror_pairs(model):
-    """The number of real sectors of ``model`` whose walk carries a mirror
-    sector's (``evolve._mirror_partners``)."""
+    """The number of real sectors of ``model`` whose job also walks a mirror
+    sector (``evolve._mirror_partners``)."""
     real = evolve._real_sectors(model)
     partners = evolve._mirror_partners(real, model.space.total_dim)
     return len({partner[0] for partner in partners if partner is not None})
@@ -620,13 +637,15 @@ class TestSteadyState:
         assert np.abs(_steady(model, "auto") - _steady(model, "dense")).max() < 1e-12
 
     @pytest.mark.parametrize("method", ["auto", "ilu"])
-    def test_steady_state_exactly_hermitian(self, method):
+    def test_steady_state_exactly_hermitian(self, method, monkeypatch):
         # "ilu" takes the density of the real population sector's solve as
-        # it comes: the real basis makes it hermitian
+        # it comes, before its trace is normalized: the real basis makes it
+        # hermitian
         model = _dpo((8, 6))
         if method == "ilu":
-            population, A = evolve._real_sectors(model)[0]
-            rho = evolve._steady_ilu(A, population, model.space.total_dim)
+            made = _population_densities(monkeypatch)
+            evolve.steady_state(model)
+            rho, = made
         else:
             rho = evolve.steady_state(model).data
         assert rho.shape == (48, 48) and np.array_equal(rho, rho.conj().T)
@@ -639,9 +658,9 @@ class TestSteadyState:
         calls = []
         real_solve_sector = evolve._solve_sector
 
-        def counting(A, systems, idx, d, **walk):
+        def counting(A, systems, idx, d, *, borrowed=None):
             calls.append(A.dtype)
-            return real_solve_sector(A, systems, idx, d, **walk)
+            return real_solve_sector(A, systems, idx, d, borrowed=borrowed)
 
         monkeypatch.setattr(evolve, "_solve_sector", counting)
         evolve.steady_state(model)
@@ -749,9 +768,12 @@ class TestSteadyState:
         rhs = np.zeros(len(idx))
         rhs[0] = 1.0
         systems = [evolve._check_system(len(idx)), (rhs, 1e-13)]
-        for x, (b, rtol) in zip(evolve._solve_sector(A, systems, idx, d), systems):
+        xs, solve = evolve._solve_sector(A, systems, idx, d)
+        for x, (b, rtol) in zip(xs, systems, strict=True):
             assert np.array_equal(x, evolve._gmres(A, ilu.solve, b, rtol,
                                                    evolve.ILU_LADDER[-1][2])[0])
+            # the walk returns the serving factor, the last rung's
+            assert np.array_equal(solve(b), ilu.solve(b))
         assert np.abs(_steady(model, "auto") - _steady(model, "dense")).max() < 1e-11
 
     @pytest.mark.parametrize("name", list(ORDER_MODELS))
@@ -869,14 +891,7 @@ class TestSteadyState:
         # one CPU leaves one pool worker; four let every other sector's
         # check run beside the population solve
         model = _dpo(dims)
-        real_steady_ilu = evolve._steady_ilu
-        runs = []
-
-        def recording(*args, **walk):
-            runs.append(real_steady_ilu(*args, **walk))
-            return runs[-1]
-
-        monkeypatch.setattr(evolve, "_steady_ilu", recording)
+        runs = _population_densities(monkeypatch)
         for cpus in ({0, 1, 2, 3}, {0}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                                 raising=False)
@@ -898,7 +913,7 @@ class TestSteadyState:
             return k
 
         with np.errstate(over="raise", invalid="raise"):
-            assert evolve._run_sectors([functools.partial(job, k) for k in range(4)]) == 0
+            evolve._run_sectors([functools.partial(job, k) for k in range(4)])
         assert sorted(seen) == [(k, "raise", "raise") for k in range(4)]
 
     def test_first_sparse_solve_in_fresh_interpreter_bit_identical(self):
@@ -941,6 +956,96 @@ class TestSteadyState:
         for _ in range(5):
             with pytest.raises(AmbiguityError, match=rf"from rho\[{n}, {m}\]"):
                 evolve.steady_state(model)
+
+    def test_error_order_failing_partner_named_and_its_mirror_never_walked(self, monkeypatch):
+        # GMRES fails on every system of sector 1, the Re half of the odd
+        # set: its walk raises, and its mirror, sector 3, the Im half, has
+        # no serving factor to borrow and is never walked; sector 2, the
+        # population sector's mirror, is
+        model = _dpo((8, 6))
+        d = model.space.total_dim
+        real = evolve._real_sectors(model)
+        partners = evolve._mirror_partners(real, d)
+        assert [None if p is None else p[0] for p in partners] == [None, None, 0, 1]
+        monkeypatch.setattr(evolve, "_real_sectors", lambda _: real)
+        real_gmres, real_solve_sector = evolve._gmres, evolve._solve_sector
+        walked = []
+
+        def gmres(A, solve, rhs, rtol, cycles):
+            if A is real[1][1]:
+                return np.zeros_like(rhs), 0, 1.0
+            return real_gmres(A, solve, rhs, rtol, cycles)
+
+        def recording(A, systems, idx, d, *, borrowed=None):
+            walked.append(int(idx[0]))
+            return real_solve_sector(A, systems, idx, d, borrowed=borrowed)
+
+        monkeypatch.setattr(evolve, "_gmres", gmres)
+        monkeypatch.setattr(evolve, "_solve_sector", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        n, m = divmod(int(real[1][0][0]), d)
+        for _ in range(3):
+            walked.clear()
+            with pytest.raises(AmbiguityError, match=rf"from rho\[{n}, {m}\]") as info:
+                evolve.steady_state(model)
+            assert "mirror of" not in str(info.value)
+            assert sorted(walked) == [int(idx[0]) for idx, _ in real[:3]]
+
+    @pytest.mark.parametrize("lower, higher", [(AmbiguityError, FloatingPointError),
+                                               (FloatingPointError, AmbiguityError)],
+                             ids=["ambiguity-below-fpe", "fpe-below-ambiguity"])
+    def test_error_order_lower_sector_wins_whatever_the_type(self, lower, higher, monkeypatch):
+        # sector 1, the Re half of the odd set, is walked on a pool worker,
+        # and sector 2, the population sector's mirror, in the population
+        # job on the calling thread. One raises AmbiguityError, GMRES
+        # failing on all its systems, and the other FloatingPointError,
+        # from GMRES itself. GMRES sleeps at random, and in alternate runs
+        # each of the two holds its failure until the other's walk has
+        # failed, so each fails first in some run: sector 1's error is
+        # raised whatever the timing and whichever type it has
+        model = _dpo((8, 6))
+        d = model.space.total_dim
+        real = evolve._real_sectors(model)
+        partners = evolve._mirror_partners(real, d)
+        assert [None if p is None else p[0] for p in partners] == [None, None, 0, 1]
+        monkeypatch.setattr(evolve, "_real_sectors", lambda _: real)
+        errors, failed, waits = {1: lower, 2: higher}, {}, {}
+        real_gmres, real_solve_sector = evolve._gmres, evolve._solve_sector
+        delays = np.random.default_rng(3)
+
+        def gmres(A, solve, rhs, rtol, cycles):
+            time.sleep(delays.uniform(0.0, 0.01))
+            for k, error in errors.items():
+                if A is real[k][1]:
+                    if k in waits:
+                        failed[waits[k]].wait(10.0)
+                    if error is FloatingPointError:
+                        raise FloatingPointError("overflow in the sector from rho[{}, {}]"
+                                                 .format(*divmod(int(real[k][0][0]), d)))
+                    return np.zeros_like(rhs), 0, 1.0
+            return real_gmres(A, solve, rhs, rtol, cycles)
+
+        def recording(A, systems, idx, d, *, borrowed=None):
+            try:
+                return real_solve_sector(A, systems, idx, d, borrowed=borrowed)
+            except Exception:
+                for k in errors:
+                    if idx is real[k][0]:
+                        failed[k].set()
+                raise
+
+        monkeypatch.setattr(evolve, "_gmres", gmres)
+        monkeypatch.setattr(evolve, "_solve_sector", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        n, m = divmod(int(real[1][0][0]), d)
+        for run in range(4):
+            failed.update((k, threading.Event()) for k in errors)
+            waits.clear()
+            waits.update({1: 2} if run % 2 else {2: 1})
+            with pytest.raises(lower, match=rf"from rho\[{n}, {m}\]"):
+                evolve.steady_state(model)
+            # the sector that waited failed too, after the other
+            assert all(event.is_set() for event in failed.values())
 
     @pytest.mark.parametrize("method", STEADY_ROUTES)
     def test_null_vector_in_im_half_of_population_set_detected(self, method):
@@ -1128,8 +1233,7 @@ class TestLadderBudget:
         # first rung. Each such walk returns what a walk started at its next
         # step returns, to the bit: the population sector's a walk from the
         # second rung, the mirror's a walk with nothing borrowed. The walks
-        # of steady_state are recorded, then run again one at a time, each
-        # without the mirrors it carried
+        # of steady_state are recorded, then run again one at a time
         walks = []
         real_solve_sector, real_gmres = evolve._solve_sector, evolve._gmres
 
@@ -1158,7 +1262,7 @@ class TestLadderBudget:
         for walk, borrowed in walks:
             runs.clear()
             starts[:] = [rhs for rhs, _ in walk[1]]
-            xs = evolve._solve_sector(*walk, borrowed=borrowed)
+            xs, solve = evolve._solve_sector(*walk, borrowed=borrowed)
             # the first step: the borrowed try, or else the first rung
             first = [(start, cycles, iters, converged)
                      for lent, start, cycles, iters, converged in runs
@@ -1172,6 +1276,8 @@ class TestLadderBudget:
                 systems[-1][1] = converged
             assert systems and all(iters <= 100 * budget for iters, _ in systems)
             if all(converged for _, converged in systems):
+                # a borrowed try that serves hands back the borrowed solve
+                assert borrowed is None or solve is borrowed[0]
                 continue
             failed.append((len(walk[1]), borrowed is not None))
             # a borrowed try that gives up makes one GMRES call
@@ -1180,7 +1286,7 @@ class TestLadderBudget:
             with monkeypatch.context() as patch:
                 if borrowed is None:
                     patch.setattr(evolve, "ILU_LADDER", evolve.ILU_LADDER[1:])
-                restarted = evolve._solve_sector(*walk)
+                restarted, _ = evolve._solve_sector(*walk)
             assert all(np.array_equal(x, y) for x, y in zip(xs, restarted, strict=True))
         # the population sector's walk, its check then its solve, and its
         # mirror's, a check alone
