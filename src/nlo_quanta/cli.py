@@ -100,6 +100,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _make_out_dir(out_dir: str):
+    """Create the output directory; a path that cannot be one is a
+    UsageError naming it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {out_dir!r} is not a usable directory: {exc.strerror}") from exc
+
+
 def write_outputs(result: ScenarioResult, out_dir: str):
     """Write each table's CSV and the run's meta JSON. A non-finite cell
     raises NumericsError naming its table, column and row before any file
@@ -110,7 +119,7 @@ def write_outputs(result: ScenarioResult, out_dir: str):
             if len(bad):
                 raise NumericsError(f"table {table.name}: column {name!r} is {values[bad[0]]} "
                                     f"at row {bad[0]} ({len(bad)} non-finite cells)")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     cfg_hash = result.config.hash()
     for table in result.tables:
         path = os.path.join(out_dir, f"{table.name}.csv")
@@ -401,10 +410,14 @@ def run_validate(cfg: ScenarioConfig, out_dir: str):
     if os.path.exists(matrix_path):
         with open(matrix_path) as fh:
             previous = json.load(fh)
+        if not isinstance(previous, dict):
+            raise ConfigError("output dir holds a validate_matrix.json that is not a JSON object; "
+                              "refusing to overwrite it (use a fresh --out)")
         if previous.get("config_hash") not in (None, cfg.hash()):
             raise ConfigError(
                 f"output dir holds a validate matrix for config {previous['config_hash']}; "
                 f"refusing to mix with {cfg.hash()} (use a fresh --out)")
+    _make_out_dir(out_dir)
     results = validation.run_all(fast=cfg.fast, threads=cfg.threads, printer=print)
     table = Table("validate", [
         ("criterion", "index", [r.criterion for r in results]),
@@ -423,7 +436,6 @@ def run_validate(cfg: ScenarioConfig, out_dir: str):
         },
         "all_passed": all(r.passed for r in results),
     }
-    os.makedirs(out_dir, exist_ok=True)
     with open(matrix_path, "w") as fh:
         json.dump(matrix, fh, indent=2, sort_keys=True, default=lambda x: x.item())
     summary = {"all_passed": matrix["all_passed"],

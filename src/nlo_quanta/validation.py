@@ -1,16 +1,20 @@
 """End-to-end acceptance checks tying closed forms to brute-force numerics.
 
-``_CHECKS`` maps each criterion number to its name and its check; a check
-returns ``(passed, details)``. :func:`run_criterion`, the one way to run a
-check, times it, builds its :class:`CheckResult` and records a raising check
-as FAIL; the ``validate`` CLI command and the acceptance suite run every
-check through it.
-Tolerances are fixed here, not configurable: they are the package's contract.
+``_CHECKS`` maps each criterion number to its name, its check and its
+bounds. A check only measures: it returns a dict of measurements and
+context, with no verdict. The bounds map a measured key to the number it
+must stay strictly below; they are the package's contract, written once
+here and not configurable. :func:`run_criterion`, the one way to run a
+check, times it and alone decides its verdict: a criterion passes when
+every bounded measurement is below its bound, and a check that raises, or
+omits a bounded key, is recorded as FAIL. The ``validate`` CLI command and
+the acceptance suite run every check through it.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -35,7 +39,7 @@ class CheckResult:
         return f"[{status}] criterion {self.criterion:2d} {self.name} ({self.seconds:.1f}s)"
 
 
-def check_squeezed_vacuum_law() -> tuple[bool, dict]:
+def check_squeezed_vacuum_law() -> dict:
     """Parametric variances e^{+-2u}/4 vs displaced-pump Fock evolution.
 
     A coherent pump with N_p = 400 photons is simulated exactly in the
@@ -50,22 +54,20 @@ def check_squeezed_vacuum_law() -> tuple[bool, dict]:
     result = evolve.evolve_pure(model, fock.vacuum_state(space), times)
     x1 = fock.quadrature(space, 0, 0.0)
     x2 = fock.quadrature(space, 0, np.pi / 2)
-    worst = 0.0
+    devs = []
     for i, u in enumerate(us):
         e1, e2 = cf.para_variances(u, 0.0)
-        worst = max(worst,
-                    abs(fock.variance(result.states[i], x1) - e1) / e1,
-                    abs(fock.variance(result.states[i], x2) - e2) / e2)
-    return worst < 0.02, {"worst_rel_dev": worst, "tolerance": 0.02, "u_max": 0.5,
-                          "n_pump": n_pump, "dims": [40, 60]}
+        devs += [abs(fock.variance(result.states[i], x1) - e1) / e1,
+                 abs(fock.variance(result.states[i], x2) - e2) / e2]
+    return {"worst_rel_dev": float(np.max(devs)), "u_max": 0.5, "n_pump": n_pump, "dims": [40, 60]}
 
 
-def check_max_squeezing_scaling() -> tuple[bool, dict]:
+def check_max_squeezing_scaling() -> dict:
     """Numerical minimization of the phase-averaged variance reproduces
-    u* = (1/4) ln(16 N_p) and var_min * 8 sqrt(N_p) = 1 to 1e-10."""
+    u* = (1/4) ln(16 N_p) and var_min * 8 sqrt(N_p) = 1."""
     from scipy.optimize import brentq
 
-    worst_u, worst_v = 0.0, 0.0
+    u_devs, v_devs = [], []
     for n_pump in (1e2, 1e4, 1e6):
         def dvar(u, n_pump=n_pump):
             return -np.exp(-2 * u) / 2.0 + np.exp(2 * u) / (32.0 * n_pump)
@@ -73,16 +75,14 @@ def check_max_squeezing_scaling() -> tuple[bool, dict]:
         u_ref = 0.25 * np.log(16.0 * n_pump)
         u_num = brentq(dvar, u_ref - 2.0, u_ref + 2.0, xtol=1e-14, rtol=8.9e-16)
         v_num = cf.phase_averaged_var_x2(u_num, n_pump)
-        worst_u = max(worst_u, abs(u_num - u_ref))
-        worst_v = max(worst_v, abs(v_num * 8.0 * np.sqrt(n_pump) - 1.0))
         u_star, var_min = cf.max_squeezing(n_pump)
-        worst_u = max(worst_u, abs(u_star - u_ref))
-        worst_v = max(worst_v, abs(var_min * 8.0 * np.sqrt(n_pump) - 1.0))
-    return worst_u < 1e-10 and worst_v < 1e-10, {
-        "worst_u_dev": worst_u, "worst_scaling_dev": worst_v, "tolerance": 1e-10}
+        u_devs += [abs(u_num - u_ref), abs(u_star - u_ref)]
+        v_devs += [abs(v_num * 8.0 * np.sqrt(n_pump) - 1.0),
+                   abs(var_min * 8.0 * np.sqrt(n_pump) - 1.0)]
+    return {"worst_u_dev": float(np.max(u_devs)), "worst_scaling_dev": float(np.max(v_devs))}
 
 
-def check_conservation_and_parity() -> tuple[bool, dict]:
+def check_conservation_and_parity() -> dict:
     """<M(t)> conservation and even-only signal populations under the
     degenerate chi2 model from a vacuum signal."""
     space = fock.make_space([24, 16])
@@ -92,9 +92,8 @@ def check_conservation_and_parity() -> tuple[bool, dict]:
     result = evolve.evolve_pure(model, psi0, times)
     m_series = result.expectation_series(model.charge("M")).real
     drift = float(np.abs(m_series - m_series[0]).max())
-    odd = max(dg.parity_test(state, 0).extras_dict()["q_odd"] for state in result.states)
-    return drift < 1e-10 and odd < 1e-10, {"M_drift": drift, "max_odd_population": odd,
-                                           "tolerance": 1e-10, "samples": 50}
+    odd = np.max([dg.parity_test(state, 0).extras_dict()["q_odd"] for state in result.states])
+    return {"M_drift": drift, "max_odd_population": float(odd), "samples": 50}
 
 
 def _pair_state(theta: float) -> fock.QuantumState:
@@ -106,7 +105,7 @@ def _pair_state(theta: float) -> fock.QuantumState:
     return fock.QuantumState(space, "pure", vec)
 
 
-def check_entanglement_minimum() -> tuple[bool, dict]:
+def check_entanglement_minimum() -> dict:
     """The pair-state inseparability sum attains 4 - 2 sqrt(2) at
     c0 = cos(pi/8) over the Bloch-angle scan."""
     from scipy.optimize import brentq
@@ -123,13 +122,12 @@ def check_entanglement_minimum() -> tuple[bool, dict]:
                         bracket_lo, bracket_hi, xtol=1e-13)
     vmin = dsum(theta_star)
     target = 4.0 - 2.0 * np.sqrt(2.0)
-    dev_value = abs(vmin - target)
-    dev_c0 = abs(np.cos(theta_star) - np.cos(np.pi / 8))
-    return dev_value < 1e-9 and dev_c0 < 1e-9, {"min_value": float(vmin), "target": float(target),
-                                                "c0_dev": dev_c0, "tolerance": 1e-9}
+    return {"min_value": float(vmin), "target": float(target),
+            "min_dev": float(abs(vmin - target)),
+            "c0_dev": float(abs(np.cos(theta_star) - np.cos(np.pi / 8)))}
 
 
-def check_kerr_exact_mean() -> tuple[bool, dict]:
+def check_kerr_exact_mean() -> dict:
     """Kerr mean-field closed form vs Fock evolution at alpha = 2,
     dim 50, including the kappa t = 2 pi revival."""
     space = fock.make_space([50])
@@ -145,12 +143,10 @@ def check_kerr_exact_mean() -> tuple[bool, dict]:
     t_rev = 2.0 * np.pi / kappa
     revival_dev = abs(cf.kerr_mean_amplitude(alpha, omega, kappa, t_rev)
                       - alpha * np.exp(-1j * omega * t_rev))
-    return worst < 1e-10 and revival_dev < 1e-10, {
-        "worst_abs_dev": worst, "revival_dev": float(revival_dev), "tolerance": 1e-10,
-        "samples": 100}
+    return {"worst_abs_dev": worst, "revival_dev": float(revival_dev), "samples": 100}
 
 
-def check_kerr_bs_subpoissonian() -> tuple[bool, dict]:
+def check_kerr_bs_subpoissonian() -> dict:
     """Closed-form optimum of the Kerr + beam-splitter scheme vs the
     full quantum pipeline (Kerr evolve, beam splitter, Mandel excess)."""
     alpha_mag, phi = 4.0, 0.25
@@ -172,16 +168,14 @@ def check_kerr_bs_subpoissonian() -> tuple[bool, dict]:
     out_state = fock.apply_operator(splitter, joint_state)
     sim_excess = dg.mandel_excess(out_state, 0).value
     rel = abs(sim_excess - opt.excess) / abs(opt.excess)
-    both_negative = sim_excess < 0.0 and opt.excess < 0.0
-    return rel < 0.20 and both_negative, {
-        "closed_form": opt.excess, "simulated": float(sim_excess), "rel_dev": float(rel),
-        "tolerance": 0.20, "transmissivity": transmissivity, "dims": [dim, dim]}
+    return {"closed_form": float(opt.excess), "simulated": float(sim_excess),
+            "rel_dev": float(rel), "transmissivity": transmissivity, "dims": [dim, dim]}
 
 
 DPO_ACCEPTANCE = dict(kappa=0.25, E0=4.0, gamma_a=1.0, gamma_b=2.0)
 
 
-def check_dpo_below_threshold() -> tuple[bool, dict]:
+def check_dpo_below_threshold() -> dict:
     """Oscillator stability eigenvalues vs closed forms, and the
     (25, 15) Lindblad steady state vs the linearized fluctuation moments
     at threshold_ratio = 0.5."""
@@ -191,7 +185,7 @@ def check_dpo_below_threshold() -> tuple[bool, dict]:
     expected = np.array([-p.gamma_b, -p.gamma_b,
                          -p.gamma_a + p.kappa * p.E0 / p.gamma_b,
                          -p.gamma_a - p.kappa * p.E0 / p.gamma_b], dtype=complex)
-    eig_dev = _set_distance(evals, expected)
+    eig_dev = [_set_distance(evals, expected)]
 
     p_above = oscillator.DpoParams(0.5, 4.0, 1.0, 1.0)
     branch = oscillator.steady_branches(p_above)[1]
@@ -200,8 +194,8 @@ def check_dpo_below_threshold() -> tuple[bool, dict]:
     disc2 = np.sqrt(complex(gb ** 2 - 8 * (ke - ga * gb)))
     expected_above = np.array([0.5 * (-(2 * ga + gb) + disc1), 0.5 * (-(2 * ga + gb) - disc1),
                                0.5 * (-gb + disc2), 0.5 * (-gb - disc2)])
-    eig_dev = max(eig_dev, _set_distance(
-        oscillator.stability_eigenvalues(p_above, branch), expected_above))
+    eig_dev.append(_set_distance(oscillator.stability_eigenvalues(p_above, branch),
+                                 expected_above))
 
     space = fock.make_space([25, 15])
     model = models.dpo_model(space, p.kappa, p.E0, p.gamma_a, p.gamma_b)
@@ -211,21 +205,19 @@ def check_dpo_below_threshold() -> tuple[bool, dict]:
     v2_sim = fock.variance(rho, fock.quadrature(space, 0, np.pi / 2))
     n_ref, _ = oscillator.below_threshold_moments(p)
     v2_ref = oscillator.below_threshold_squeezing(p)
-    n_dev = abs(n_sim - n_ref) / n_ref
-    v2_dev = abs(v2_sim - v2_ref) / v2_ref
-    limit_exact = oscillator.squeezing_threshold_limit() == 0.125
-    passed = eig_dev < 1e-9 and n_dev < 0.05 and v2_dev < 0.05 and limit_exact
-    return passed, {"eigenvalue_dev": float(eig_dev), "n_fluct_rel_dev": float(n_dev),
-                    "squeezing_rel_dev": float(v2_dev), "threshold_ratio": p.threshold_ratio,
-                    "dims": [25, 15], "tolerances": [1e-9, 0.05, 0.05]}
+    return {"eigenvalue_dev": float(np.max(eig_dev)),
+            "n_fluct_rel_dev": float(abs(n_sim - n_ref) / n_ref),
+            "squeezing_rel_dev": float(abs(v2_sim - v2_ref) / v2_ref),
+            "threshold_limit_dev": abs(oscillator.squeezing_threshold_limit() - 0.125),
+            "threshold_ratio": p.threshold_ratio, "dims": [25, 15]}
 
 
 def _set_distance(got: np.ndarray, expected: np.ndarray) -> float:
     """Max over expected values of the distance to the nearest computed one."""
-    return float(max(min(abs(g - e) for g in got) for e in expected))
+    return float(np.max(np.min(np.abs(np.subtract.outer(got, expected)), axis=0)))
 
 
-def check_two_level_susceptibilities() -> tuple[bool, dict]:
+def check_two_level_susceptibilities() -> dict:
     """Exact-minus-cubic polarization scales as O(E0^5); chi^(1) and
     chi^(3) reproduce their closed forms exactly."""
     e0s = np.logspace(-3.3, -2.3, 12)
@@ -239,39 +231,36 @@ def check_two_level_susceptibilities() -> tuple[bool, dict]:
     chi1_dev = abs(media.chi1_two_level(p) - (-media.HBAR * 1.3 ** 2 / (media.EPS0 * 0.7)))
     chi3_dev = abs(media.chi3_two_level(p)
                    - media.HBAR * 1.3 ** 4 / (3 * np.pi * media.EPS0 * 0.7 ** 3))
-    passed = abs(slope - 5.0) < 0.3 and chi1_dev == 0.0 and chi3_dev == 0.0
-    return passed, {"slope": slope, "slope_target": 5.0, "slope_tolerance": 0.3,
-                    "chi1_dev": float(chi1_dev), "chi3_dev": float(chi3_dev)}
+    return {"slope": slope, "slope_dev": abs(slope - 5.0),
+            "chi1_dev": float(chi1_dev), "chi3_dev": float(chi3_dev)}
 
 
-def check_dispersion_consistency() -> tuple[bool, dict]:
-    """Dispersion roots satisfy their branch equation to 1e-12 relative;
-    both mode-normalization forms agree to 1e-10 over a 100-point k sweep;
-    finite-difference group velocity matches the analytic form to 1e-6."""
+def check_dispersion_consistency() -> dict:
+    """Dispersion roots satisfy their branch equation; both
+    mode-normalization forms agree over a 100-point k sweep;
+    finite-difference group velocity matches the analytic form."""
     coeffs = media.DispersionCoeffs(
         beta_nu=1.0 / (2.25 * media.EPS0),
         beta_nu_prime=2e-27 / media.EPS0,
         beta_nu_dblprime=1e-43 / media.EPS0,
     )
     ks = np.linspace(1e6, 2e7, 100)
-    worst_res, worst_vk = 0.0, 0.0
+    residuals, vk_devs = [], []
     for k in ks:
         w_plus, w_minus = media.dispersion_omega(k, coeffs)
-        worst_res = max(worst_res,
-                        media.dispersion_residual(k, w_plus, coeffs, +1),
-                        media.dispersion_residual(k, w_minus, coeffs, -1))
+        residuals += [media.dispersion_residual(k, w_plus, coeffs, +1),
+                      media.dispersion_residual(k, w_minus, coeffs, -1)]
         media.mode_norm_Ak(k, coeffs)  # raises if the two forms drift past 1e-10
         h = 1e-6 * k
         vk_fd = (media.dispersion_omega(k + h, coeffs)[0]
                  - media.dispersion_omega(k - h, coeffs)[0]) / (2 * h)
-        worst_vk = max(worst_vk, abs(vk_fd - media.group_velocity(k, coeffs))
+        vk_devs.append(abs(vk_fd - media.group_velocity(k, coeffs))
                        / media.group_velocity(k, coeffs))
-    passed = worst_res < 1e-12 and worst_vk < 1e-6
-    return passed, {"worst_branch_residual": worst_res, "worst_vk_rel_dev": worst_vk,
-                    "tolerances": [1e-12, 1e-6], "k_points": 100}
+    return {"worst_branch_residual": float(np.max(residuals)),
+            "worst_vk_rel_dev": float(np.max(vk_devs)), "k_points": 100}
 
 
-def check_soliton_propagation() -> tuple[bool, dict]:
+def check_soliton_propagation() -> dict:
     """Split-step soliton shape invariance over one period, norm
     conservation, and the mean field's t = 0 limit plus monotone peak
     decay from phase diffusion, on a paper-normalized fiber (w'' = 2,
@@ -291,60 +280,82 @@ def check_soliton_propagation() -> tuple[bool, dict]:
     t0_dev = abs(mf0.peak() - float(np.abs(ref).max())) / float(np.abs(ref).max())
     peaks = [soliton.mean_field(alpha, p, t).peak()
              for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
-    monotone = all(peaks[i + 1] < peaks[i] for i in range(len(peaks) - 1))
-    passed = shape_dev < 1e-3 and norm_drift < 1e-10 and t0_dev < 0.01 and monotone
-    return passed, {"shape_L2_dev": shape_dev, "norm_rel_drift": float(norm_drift),
-                    "mean_field_t0_rel_dev": float(t0_dev), "peaks": peaks,
-                    "tolerances": [1e-3, 1e-10, 0.01]}
+    return {"shape_L2_dev": shape_dev, "norm_rel_drift": float(norm_drift),
+            "mean_field_t0_rel_dev": float(t0_dev), "peaks": peaks,
+            "peak_rise": float(np.max(np.diff(peaks)))}
 
 
-def check_downconv_kernel() -> tuple[bool, dict]:
-    """Kernel's dz -> 0 series limit, fitted far-field decay exponent
-    2.0 +/- 0.1, and peak agreement with the momentum-grid quadrature."""
+def check_downconv_kernel() -> dict:
+    """Kernel's dz -> 0 series limit, fitted far-field decay exponent 2,
+    and the peak at dz = 0 in both the closed form and the momentum-grid
+    quadrature, which agree there."""
     k0 = 3.0
     limit_dev = abs(cf.downconv_kernel(0.0, k0) - k0 ** 3 / 6.0) / (k0 ** 3 / 6.0)
     exponent = cf.downconv_decay_exponent(k0, 60)
     scan = np.linspace(-2.0, 2.0, 81)
     closed = [abs(cf.downconv_kernel(z, k0)) for z in scan]
     quad = [abs(cf.downconv_kernel_quadrature(z, k0, 4001)) for z in scan]
-    peak_match = scan[int(np.argmax(closed))] == 0.0 and scan[int(np.argmax(quad))] == 0.0
-    quad_dev = abs(quad[40] - closed[40]) / closed[40]
-    passed = limit_dev < 1e-8 and abs(exponent - 2.0) < 0.1 and peak_match and quad_dev < 1e-6
-    return passed, {"limit_rel_dev": float(limit_dev), "decay_exponent": exponent,
-                    "quadrature_peak_rel_dev": float(quad_dev),
-                    "tolerances": [1e-8, 0.1]}
+    return {"limit_rel_dev": float(limit_dev), "decay_exponent": exponent,
+            "decay_exponent_dev": float(abs(exponent - 2.0)),
+            "peak_offset": float(np.max(np.abs(scan[[np.argmax(closed), np.argmax(quad)]]))),
+            "quadrature_peak_rel_dev": float(abs(quad[40] - closed[40]) / closed[40])}
 
 
 FAST_CRITERIA = (2, 4, 5, 8, 9, 11)
 
-#: The acceptance matrix: criterion number -> (name, check).
+#: The bound of an exact check: for a value >= 0, ``value < EXACT`` holds
+#: exactly when the value is 0.
+EXACT = math.ulp(0.0)
+
+#: The acceptance matrix: criterion number -> (name, check, bounds), where
+#: ``bounds`` maps a measured key to the number it must stay strictly below.
 _CHECKS = {
-    1: ("squeezed-vacuum law vs full evolution", check_squeezed_vacuum_law),
-    2: ("maximum-squeezing scaling", check_max_squeezing_scaling),
-    3: ("charge conservation and signal parity", check_conservation_and_parity),
-    4: ("entanglement minimum of the pair state", check_entanglement_minimum),
-    5: ("Kerr exact mean amplitude", check_kerr_exact_mean),
-    6: ("Kerr/beam-splitter sub-Poissonian optimum", check_kerr_bs_subpoissonian),
-    7: ("parametric oscillator below threshold", check_dpo_below_threshold),
-    8: ("two-level susceptibilities", check_two_level_susceptibilities),
-    9: ("dispersion relation consistency", check_dispersion_consistency),
-    10: ("soliton propagation and phase diffusion", check_soliton_propagation),
-    11: ("down-conversion kernel", check_downconv_kernel),
+    1: ("squeezed-vacuum law vs full evolution", check_squeezed_vacuum_law,
+        {"worst_rel_dev": 0.02}),
+    2: ("maximum-squeezing scaling", check_max_squeezing_scaling,
+        {"worst_u_dev": 1e-10, "worst_scaling_dev": 1e-10}),
+    3: ("charge conservation and signal parity", check_conservation_and_parity,
+        {"M_drift": 1e-10, "max_odd_population": 1e-10}),
+    4: ("entanglement minimum of the pair state", check_entanglement_minimum,
+        {"min_dev": 1e-9, "c0_dev": 1e-9}),
+    5: ("Kerr exact mean amplitude", check_kerr_exact_mean,
+        {"worst_abs_dev": 1e-10, "revival_dev": 1e-10}),
+    6: ("Kerr/beam-splitter sub-Poissonian optimum", check_kerr_bs_subpoissonian,
+        {"rel_dev": 0.20, "closed_form": 0.0, "simulated": 0.0}),
+    7: ("parametric oscillator below threshold", check_dpo_below_threshold,
+        {"eigenvalue_dev": 1e-9, "n_fluct_rel_dev": 0.05, "squeezing_rel_dev": 0.05,
+         "threshold_limit_dev": EXACT}),
+    8: ("two-level susceptibilities", check_two_level_susceptibilities,
+        {"slope_dev": 0.3, "chi1_dev": EXACT, "chi3_dev": EXACT}),
+    9: ("dispersion relation consistency", check_dispersion_consistency,
+        {"worst_branch_residual": 1e-12, "worst_vk_rel_dev": 1e-6}),
+    10: ("soliton propagation and phase diffusion", check_soliton_propagation,
+         {"shape_L2_dev": 1e-3, "norm_rel_drift": 1e-10, "mean_field_t0_rel_dev": 0.01,
+          "peak_rise": 0.0}),
+    11: ("down-conversion kernel", check_downconv_kernel,
+         {"limit_rel_dev": 1e-8, "decay_exponent_dev": 0.1, "peak_offset": EXACT,
+          "quadrature_peak_rel_dev": 1e-6}),
 }
 
 
 def run_criterion(number: int) -> CheckResult:
-    """Run criterion ``number`` and time it. A check that raises is recorded
-    as FAIL, under its registry name, with its exception and traceback in
-    ``details``, so the rest of the matrix still runs and is written."""
-    name, check = _CHECKS[number]
+    """Run criterion ``number``, time it and decide its verdict: PASS when
+    every bounded measurement is strictly below its bound (a NaN is not).
+    ``details`` holds the measurements and the ``bounds``. A check that
+    raises, or omits a bounded key, is recorded as FAIL, under its registry
+    name, with its exception and traceback in ``details``, so the rest of
+    the matrix still runs and is written."""
+    name, check, bounds = _CHECKS[number]
     t0 = time.perf_counter()
+    details = {}
     try:
-        passed, details = check()
+        details = check()
+        passed = all(details[key] < bound for key, bound in bounds.items())
     except Exception as exc:
-        passed, details = False, {"error": f"{type(exc).__name__}: {exc}",
+        passed, details = False, {**details, "error": f"{type(exc).__name__}: {exc}",
                                   "traceback": traceback.format_exc()}
-    return CheckResult(number, name, bool(passed), details, time.perf_counter() - t0)
+    return CheckResult(number, name, passed, {**details, "bounds": dict(bounds)},
+                       time.perf_counter() - t0)
 
 
 def run_all(fast: bool = False, threads: int = 1, printer=None) -> list[CheckResult]:

@@ -1,8 +1,10 @@
-"""Acceptance suite: every criterion at its stated tolerance, one pass/fail
-line printed per criterion. The same checks back the `nlo-quanta validate`
-command (criterion 12 runs that command end to end)."""
+"""Acceptance suite: every criterion within its bounds, one pass/fail line
+printed per criterion, and the one rule that turns measurements into a
+verdict. The same checks back the `nlo-quanta validate` command (criterion
+12 runs that command end to end)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,101 +15,122 @@ import pytest
 from nlo_quanta import validation
 
 
-def _run(number):
+#: The acceptance contract, copied here by hand as the independent pin of
+#: ``validation._CHECKS``: criterion -> {measured key: the number it must
+#: stay strictly below}.
+CONTRACT = {
+    1: {"worst_rel_dev": 0.02},
+    2: {"worst_u_dev": 1e-10, "worst_scaling_dev": 1e-10},
+    3: {"M_drift": 1e-10, "max_odd_population": 1e-10},
+    4: {"min_dev": 1e-9, "c0_dev": 1e-9},
+    5: {"worst_abs_dev": 1e-10, "revival_dev": 1e-10},
+    6: {"rel_dev": 0.20, "closed_form": 0.0, "simulated": 0.0},
+    7: {"eigenvalue_dev": 1e-9, "n_fluct_rel_dev": 0.05, "squeezing_rel_dev": 0.05,
+        "threshold_limit_dev": 5e-324},
+    8: {"slope_dev": 0.3, "chi1_dev": 5e-324, "chi3_dev": 5e-324},
+    9: {"worst_branch_residual": 1e-12, "worst_vk_rel_dev": 1e-6},
+    10: {"shape_L2_dev": 1e-3, "norm_rel_drift": 1e-10, "mean_field_t0_rel_dev": 0.01,
+         "peak_rise": 0.0},
+    11: {"limit_rel_dev": 1e-8, "decay_exponent_dev": 0.1, "peak_offset": 5e-324,
+         "quadrature_peak_rel_dev": 1e-6},
+}
+
+
+def _accept(number, budget):
+    """Run criterion ``number``: it passes within ``budget`` seconds and
+    every bounded value sits below its bound in CONTRACT."""
     result = validation.run_criterion(number)
     print(result.line(), result.details)
-    return result
+    assert result.passed
+    for key, bound in CONTRACT[number].items():
+        assert result.details[key] < bound, key
+    assert result.seconds < budget
+    return result.details
+
+
+def test_contract_table():
+    assert validation.EXACT == 5e-324
+    assert {n: bounds for n, (_, _, bounds) in validation._CHECKS.items()} == CONTRACT
 
 
 def test_criterion_01_squeezed_vacuum_law():
-    result = _run(1)
-    assert result.passed
-    assert result.details["worst_rel_dev"] < 0.02
-    assert result.seconds < 30
+    _accept(1, budget=30)
 
 
 def test_criterion_02_max_squeezing_scaling():
-    result = _run(2)
-    assert result.passed
-    assert result.details["worst_u_dev"] < 1e-10
-    assert result.details["worst_scaling_dev"] < 1e-10
-    assert result.seconds < 1
+    _accept(2, budget=1)
 
 
 def test_criterion_03_conservation_and_parity():
-    result = _run(3)
-    assert result.passed
-    assert result.details["M_drift"] < 1e-10
-    assert result.details["max_odd_population"] < 1e-10
-    assert result.seconds < 20
+    _accept(3, budget=20)
 
 
 def test_criterion_04_entanglement_minimum():
-    result = _run(4)
-    assert result.passed
-    assert abs(result.details["min_value"] - result.details["target"]) < 1e-9
-    assert result.details["c0_dev"] < 1e-9
-    assert result.seconds < 1
+    details = _accept(4, budget=1)
+    assert abs(details["min_value"] - details["target"]) < 1e-9
 
 
 def test_criterion_05_kerr_exact_mean():
-    result = _run(5)
-    assert result.passed
-    assert result.details["worst_abs_dev"] < 1e-10
-    assert result.details["revival_dev"] < 1e-10
-    assert result.seconds < 10
+    _accept(5, budget=10)
 
 
 def test_criterion_06_kerr_bs_subpoissonian():
-    result = _run(6)
-    assert result.passed
-    assert result.details["rel_dev"] < 0.20
-    assert result.details["closed_form"] < 0
-    assert result.details["simulated"] < 0
-    assert result.seconds < 120
+    _accept(6, budget=120)
 
 
 def test_criterion_07_dpo_below_threshold():
-    result = _run(7)
-    assert result.passed
-    assert result.details["eigenvalue_dev"] < 1e-9
-    assert result.details["n_fluct_rel_dev"] < 0.05
-    assert result.details["squeezing_rel_dev"] < 0.05
-    assert result.seconds < 120
+    _accept(7, budget=120)
 
 
 def test_criterion_08_two_level_susceptibilities():
-    result = _run(8)
-    assert result.passed
-    assert abs(result.details["slope"] - 5.0) < 0.3
-    assert result.details["chi1_dev"] == 0.0
-    assert result.details["chi3_dev"] == 0.0
-    assert result.seconds < 1
+    details = _accept(8, budget=1)
+    assert abs(details["slope"] - 5.0) < 0.3
 
 
 def test_criterion_09_dispersion_consistency():
-    result = _run(9)
-    assert result.passed
-    assert result.details["worst_branch_residual"] < 1e-12
-    assert result.details["worst_vk_rel_dev"] < 1e-6
-    assert result.seconds < 1
+    _accept(9, budget=1)
 
 
 def test_criterion_10_soliton_propagation():
-    result = _run(10)
-    assert result.passed
-    assert result.details["shape_L2_dev"] < 1e-3
-    assert result.details["norm_rel_drift"] < 1e-10
-    assert result.details["mean_field_t0_rel_dev"] < 0.01
-    assert result.seconds < 60
+    _accept(10, budget=60)
 
 
 def test_criterion_11_downconv_kernel():
-    result = _run(11)
-    assert result.passed
-    assert result.details["limit_rel_dev"] < 1e-8
-    assert abs(result.details["decay_exponent"] - 2.0) < 0.1
-    assert result.seconds < 60
+    details = _accept(11, budget=60)
+    assert abs(details["decay_exponent"] - 2.0) < 0.1
+
+
+@pytest.mark.parametrize("value, bound, passed", [
+    (0.5, 0.5, False),
+    (0.0, validation.EXACT, True),
+    (5e-324, validation.EXACT, False),
+    (math.nan, 1.0, False),
+], ids=["equal-to-bound", "zero-under-exact", "ulp-under-exact", "nan"])
+def test_one_verdict_rule(monkeypatch, value, bound, passed):
+    monkeypatch.setitem(validation._CHECKS, 0, ("probe", lambda: {"x": value, "y": 0.0},
+                                                {"x": bound, "y": 1.0}))
+    result = validation.run_criterion(0)
+    assert result.passed is passed
+    assert result.details["bounds"] == {"x": bound, "y": 1.0}
+
+
+def test_a_nan_in_a_reduction_fails(monkeypatch):
+    # the checks combine values with numpy reductions, which keep a NaN;
+    # builtin max(0.0, nan) drops it
+    monkeypatch.setattr(validation.media, "dispersion_residual", lambda *args: math.nan)
+    result = validation.run_criterion(9)
+    assert math.isnan(result.details["worst_branch_residual"])
+    assert result.passed is False
+
+
+def test_missing_bounded_key_fails(monkeypatch):
+    monkeypatch.setitem(validation._CHECKS, 0, ("probe", lambda: {"x": 0.0},
+                                                {"x": 1.0, "y": 1.0}))
+    result = validation.run_criterion(0)
+    assert result.passed is False
+    assert result.details["error"] == "KeyError: 'y'"
+    assert result.details["x"] == 0.0
+    assert result.details["bounds"] == {"x": 1.0, "y": 1.0}
 
 
 def test_criterion_12_validate_command(tmp_path):
@@ -125,7 +148,8 @@ def test_criterion_12_validate_command(tmp_path):
     matrix = json.loads((out_dir / "validate_matrix.json").read_text())
     assert matrix["all_passed"] is True
     assert sorted(int(k) for k in matrix["criteria"]) == list(range(1, 12))
-    for entry in matrix["criteria"].values():
+    for number, entry in matrix["criteria"].items():
         assert entry["passed"] is True
+        assert entry["details"]["bounds"] == CONTRACT[int(number)]
     assert elapsed < 600
     assert os.path.exists(out_dir / "validate.csv")

@@ -280,6 +280,22 @@ class TestConfigValidation:
         assert "--fast applies to validate only" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["squeeze"], ["validate", "--fast"]],
+                             ids=["squeeze", "validate"])
+    @pytest.mark.parametrize("target, reason", [("afile", "File exists"),
+                                                ("afile/sub", "Not a directory")])
+    def test_unusable_out_is_usage_error(self, tmp_path, capsys, monkeypatch, args, target,
+                                         reason):
+        def run_all(*args, **kwargs):
+            raise AssertionError("the criteria ran")
+
+        monkeypatch.setattr(validation, "run_all", run_all)
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / target)
+        assert cli.main([*args, "--out", out]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: --out {out!r} is not a usable directory: {reason}\n"
+
 
 class TestOutputs:
     @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "validate"])
@@ -370,7 +386,7 @@ class TestValidateCommand:
             raise NumericsError("solver blew up")
 
         monkeypatch.setattr(validation, "_CHECKS",
-                            {2: validation._CHECKS[2], 5: ("raises", check_raises)})
+                            {2: validation._CHECKS[2], 5: ("raises", check_raises, {})})
         out = tmp_path / "out"
         code = cli.main(["validate", "--out", str(out), "--threads", str(threads)])
         assert code == cli.EXIT_NUMERIC
@@ -385,10 +401,11 @@ class TestValidateCommand:
         def check_raises():
             raise NumericsError("solver blew up")
 
-        monkeypatch.setitem(validation._CHECKS, 5, ("raises", check_raises))
+        monkeypatch.setitem(validation._CHECKS, 5, ("raises", check_raises, {"x": 1.0}))
         result = validation.run_criterion(5)
         assert result.passed is False
         assert result.details["error"] == "NumericsError: solver blew up"
+        assert result.details["bounds"] == {"x": 1.0}
         assert "check_raises" in result.details["traceback"]
         assert result.seconds > 0
 
@@ -435,6 +452,20 @@ class TestValidateCommand:
         proc = run_cli(["validate", "--fast", "--out", str(out)])
         assert proc.returncode == cli.EXIT_CONFIG
         assert "refusing" in proc.stderr
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"])
+    def test_refuses_replay_that_is_not_an_object(self, tmp_path, capsys, monkeypatch, text):
+        def run_all(*args, **kwargs):
+            raise AssertionError("the criteria ran")
+
+        monkeypatch.setattr(validation, "run_all", run_all)
+        out = tmp_path / "val"
+        out.mkdir()
+        (out / "validate_matrix.json").write_text(text)
+        assert cli.main(["validate", "--fast", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "not a JSON object; refusing" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["validate_matrix.json"]
+        assert (out / "validate_matrix.json").read_text() == text
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
