@@ -56,6 +56,16 @@ Numerical routes
   serves as well on every rung, but at (13, 15) not within the first rung's
   budget. This is the one route; ``_steady_dense``, a dense eig per real
   sector, is its private slow reference.
+* BLAS threads: ``steady_state`` and ``evolve_lindblad``, like the
+  ``models`` builders and ``validation.run_all``, run under
+  ``_blas.serial_blas``. It holds numpy's and scipy's bundled OpenBLAS to
+  one thread, process-wide, for the length of the call, the sector pool's
+  workers included, and restores the caller's counts when the last such
+  call in the process exits; a count set from another thread in between is
+  overwritten then. A threaded call leaves OpenBLAS's workers spin-waiting
+  for the next one, ~130 ms of CPU each time, and from DPO (18, 12) up the
+  steady state's bits depended on the thread count. ``evolve_pure`` is not
+  held: ``nphoton``'s CSVs keep the bytes they have at the default count.
 
 No scipy module is loaded with this module. ``sp`` and ``spla`` are
 ``LazyModule`` stand-ins that import ``scipy.sparse`` and
@@ -78,6 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import serial_blas
 from ._lazy import LazyModule
 from .errors import AmbiguityError, ContractError, NumericsError
 from .fock import (NEGATIVE_EIGENVALUE_FLOOR, FieldOperator, QuantumState, expectation,
@@ -229,6 +240,7 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
+@serial_blas
 def evolve_lindblad(model: ModelSpec, rho0: QuantumState, times) -> EvolutionResult:
     """Integrate the master equation d rho/dt = -i[H, rho] + sum Lambda.
 
@@ -636,6 +648,7 @@ def _steady_dense(model: ModelSpec) -> np.ndarray:
     return rho
 
 
+@serial_blas
 def steady_state(model: ModelSpec) -> QuantumState:
     """Null vector of the Liouvillian, normalized to trace 1.
 

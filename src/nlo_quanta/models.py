@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import serial_blas
 from ._lazy import LazyModule
 from .errors import ContractError, ParameterError, TruncationError
 from .fock import (
@@ -76,6 +77,7 @@ def _require_modes(space: SpaceDescriptor, n: int, what: str):
         raise ContractError(f"{what} needs a {n}-mode space, got {space.n_modes} modes")
 
 
+@serial_blas
 def h_two_mode_chi2(space: SpaceDescriptor, omega: float, kappa: float) -> ModelSpec:
     """Degenerate chi2 coupling of a signal at omega to a pump at 2*omega.
 
@@ -87,6 +89,7 @@ def h_two_mode_chi2(space: SpaceDescriptor, omega: float, kappa: float) -> Model
     return h_nphoton(space, omega, kappa, 2)
 
 
+@serial_blas
 def h_three_mode_chi2(space: SpaceDescriptor, omega1: float, omega2: float,
                       kappa: float) -> ModelSpec:
     """Nondegenerate chi2 model: pump at omega1+omega2 feeding signal/idler.
@@ -119,6 +122,7 @@ def h_three_mode_chi2(space: SpaceDescriptor, omega1: float, omega2: float,
     )
 
 
+@serial_blas
 def h_kerr_single(space: SpaceDescriptor, omega: float, kappa: float) -> ModelSpec:
     """Single-mode Kerr Hamiltonian, diagonal in the Fock basis.
 
@@ -136,6 +140,7 @@ def h_kerr_single(space: SpaceDescriptor, omega: float, kappa: float) -> ModelSp
     )
 
 
+@serial_blas
 def h_kerr_cross(space: SpaceDescriptor, omega1: float, omega2: float,
                  kappa: float) -> ModelSpec:
     """Cross-Kerr model: H = omega1 n_a + omega2 n_b + (kappa/2) a-dag b-dag a b.
@@ -156,6 +161,7 @@ def h_kerr_cross(space: SpaceDescriptor, omega1: float, omega2: float,
     )
 
 
+@serial_blas
 def h_nphoton(space: SpaceDescriptor, omega: float, kappa_n: float, n: int) -> ModelSpec:
     """Two-mode n-photon down-conversion model.
 
@@ -189,6 +195,7 @@ def h_nphoton(space: SpaceDescriptor, omega: float, kappa_n: float, n: int) -> M
     )
 
 
+@serial_blas
 def h_parametric_classical_pump(space: SpaceDescriptor, kappa: float,
                                 beta: complex) -> ModelSpec:
     """Single-mode parametric model with the pump replaced by a c-number.
@@ -213,6 +220,7 @@ def h_parametric_classical_pump(space: SpaceDescriptor, kappa: float,
                      params={"kappa": kappa, "n_pump": np_pump, "phi_p": phase})
 
 
+@serial_blas
 def h_chi2_displaced_pump(space: SpaceDescriptor, kappa: float, beta: complex) -> ModelSpec:
     """Two-mode chi2 interaction in the displaced pump frame.
 
@@ -238,6 +246,7 @@ def h_chi2_displaced_pump(space: SpaceDescriptor, kappa: float, beta: complex) -
     )
 
 
+@serial_blas
 def dpo_model(space: SpaceDescriptor, kappa: float, E0: float,
               gamma_a: float, gamma_b: float) -> ModelSpec:
     """Driven, damped degenerate parametric oscillator (interaction picture).

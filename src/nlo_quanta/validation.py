@@ -24,6 +24,7 @@ import numpy as np
 from . import closed_form as cf
 from . import diagnostics as dg
 from . import evolve, fock, media, models, oscillator, soliton
+from ._blas import serial_blas
 
 
 @dataclass
@@ -358,6 +359,7 @@ def run_criterion(number: int) -> CheckResult:
                        time.perf_counter() - t0)
 
 
+@serial_blas
 def run_all(fast: bool = False, threads: int = 1, printer=None) -> list[CheckResult]:
     """Run the acceptance matrix (the fast tier when ``fast``) on ``threads``
     workers, each criterion through the module's current ``run_criterion``

@@ -8,10 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from nlo_quanta import cli, media, validation
+from nlo_quanta import _blas, cli, media, validation
 from nlo_quanta.errors import NumericsError
 
 REFERENCE_DIGESTS = pathlib.Path(__file__).parents[1] / "bench" / "reference_digests.json"
+
+
+def _numpy_blas_threads():
+    """The thread count numpy's bundled OpenBLAS reports, or "an unknown
+    number of" where it exports no thread-count symbols."""
+    found = _blas._libraries().get("numpy")
+    return found[0]() if found else "an unknown number of"
 
 
 def run_cli(args, **kwargs):
@@ -306,7 +313,9 @@ class TestOutputs:
         for table in result.tables:
             name = f"{table.name}.csv"
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            assert digest == reference[name], name
+            assert digest == reference[name], (
+                f"{name}: the reference digests hold for numpy's OpenBLAS at a threaded "
+                f"count, and it runs {_numpy_blas_threads()} thread(s) here")
 
     def test_dispersion_solves_each_k_three_times(self, tmp_path, monkeypatch):
         # the CLI's own root solve, group_velocity, and one shared solve inside
